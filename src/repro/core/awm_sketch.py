@@ -39,7 +39,6 @@ import math
 
 import numpy as np
 
-from repro import kernels
 from repro.core.sketch_table import _RENORM_THRESHOLD, ScaledSketchTable
 from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
@@ -49,12 +48,6 @@ from repro.learning.losses import Loss
 from repro.learning.schedules import Schedule
 
 __all__ = ["AWMSketch", "_RENORM_THRESHOLD"]
-
-#: Shared empty member arrays for the no-active-member case of the
-#: whole-example fused kernel (dtypes match ``member_slots`` output and
-#: feature values, keeping compiled specializations monomorphic).
-_EMPTY_SLOTS = np.empty(0, dtype=np.intp)
-_EMPTY_VALUES = np.empty(0, dtype=np.float64)
 
 
 class AWMSketch(ScaledSketchTable):
@@ -109,17 +102,6 @@ class AWMSketch(ScaledSketchTable):
         self.scalar_fast_path = scalar_fast_path
         # Diagnostics: promotion/eviction churn (exposed for ablations).
         self.n_promotions = 0
-
-    #: Testing hook: take the fused_query branch of _update_example even
-    #: on interpreted backends, so the equivalence suite can exercise it
-    #: without a compiler.  Never set in production code.
-    _force_fused_query: bool = False
-
-    #: Same hook for the whole-example ``fused_awm_update`` kernel
-    #: (gather → margin → decay → active-set step → recovery → screen →
-    #: scatter in one call).  The kernel only pays on compiled backends,
-    #: so interpreted backends keep the chain unless a test forces it.
-    _force_fused_example: bool = False
 
     # ------------------------------------------------------------------
     # Sketch-space helpers (tail features only)
@@ -403,39 +385,12 @@ class AWMSketch(ScaledSketchTable):
             tail_idx = indices
             tail_val = values
         tail_n = tail_idx.size
-        # The whole-example mega-kernel: one compiled call covering the
-        # entire Algorithm 2 step when nothing needs the sequential
-        # promotion loop (the kernel screens and bails out before any
-        # scatter if a promotion is possible).  Requires the default
-        # abs priority and a full store (the kernel's threshold scan),
-        # a kernel-representable loss, and a non-empty tail.
-        if (
-            tail_n
-            and self.use_fused
-            and self.loss.kernel_id is not None
-            and heap.is_full
-            and heap._priority is abs
-            and (kb.compiled or self._force_fused_example)
-        ):
-            return self._update_example_fused(
-                tail_idx, tail_val, y, heap_slots, heap_val,
-                in_sketch, buckets, signs, promo_log,
-            )
 
         tau = 0.0
         if any_member:
             heap_products = heap.values_at(heap_slots) * heap_val
             for p in heap_products.tolist():
                 tau += p
-        # The shared-gather fused_query pays on compiled backends (one
-        # jitted call replaces the gather + median pair); on the NumPy
-        # reference it is the *same* composition plus a buffer copy, so
-        # the reference chain stays — both branches are bit-identical
-        # (fuzzed per backend in tests/test_fused_kernels.py, which
-        # forces the branch on interpreted backends via
-        # ``_force_fused_query``).
-        fused = self.use_fused and (kb.compiled or self._force_fused_query)
-        raw_med: np.ndarray | None = None
         if tail_n:
             # Hash the tail once (or select from the batch-hashed rows)
             # and gather its table cells once; the same gathered values
@@ -454,20 +409,8 @@ class AWMSketch(ScaledSketchTable):
             # products here and the recovery queries below; the margin
             # kernel's sum is exactly rounded, so the transposed
             # summation order leaves the margin bit-identical to the
-            # (depth, nnz) layout.  The fused path gets the gather and
-            # the (factor-independent) raw medians from a single
-            # fused_query call over workspace buffers; queries below
-            # are then one scalar multiply by the post-decay factor —
-            # the exact floats median_estimate(..., factor) yields.
-            if fused:
-                taken_t = np.empty((tail_n, self.depth))
-                raw_med = np.empty(tail_n)
-                kb.fused_query(
-                    self._table_flat, flat_tail, tail_signs.T, 1.0,
-                    taken_t, raw_med, kernels.EMPTY_SCRATCH,
-                )
-            else:
-                taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
+            # (depth, nnz) layout.
+            taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
             tau += kb.margin_gathered(
                 taken_t, (tail_signs * tail_val).T,
                 self._scale, self._sqrt_s,
@@ -485,15 +428,8 @@ class AWMSketch(ScaledSketchTable):
             self._decay_scale(decay)
             if tail_n and self._scale != scale_before * decay:
                 # The decay underflowed the scale and folded it into the
-                # raw table; the pre-decay gather (and raw medians) are
-                # stale.
-                if fused:
-                    kb.fused_query(
-                        self._table_flat, flat_tail, tail_signs.T, 1.0,
-                        taken_t, raw_med, kernels.EMPTY_SCRATCH,
-                    )
-                else:
-                    taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
+                # raw table; the pre-decay gather is stale.
+                taken_t = kb.gather_rows_t(self._table_flat, flat_tail)
 
         step = eta * y * g
 
@@ -507,28 +443,9 @@ class AWMSketch(ScaledSketchTable):
             # Queries = median-of-rows recovery on the post-decay table
             # (the decay touches only the scale, so the shared gather is
             # still the raw table unless the underflow fold above fired).
-            if fused:
-                # One scalar multiply by the post-decay factor turns the
-                # recorded raw medians into the exact recovery queries
-                # (the fused_query call pre-dates the decay, which only
-                # moves the scale), followed by the same optional l1
-                # soft-threshold _estimate_from_rows applies.
-                if self.depth == 1:
-                    factor = self._scale
-                else:
-                    factor = self._sqrt_s * self._scale
-                queries = factor * raw_med
-                if self.l1 > 0.0:
-                    queries = np.sign(queries) * np.maximum(
-                        np.abs(queries) - self.l1, 0.0
-                    )
-            else:
-                queries = self._estimate_from_rows(
-                    tail_buckets,
-                    tail_signs,
-                    flat_buckets=flat_tail,
-                    gathered_t=taken_t,
-                )
+            queries = self._estimate_from_rows(
+                tail_buckets, tail_signs, gathered_t=taken_t
+            )
             candidates = queries - step * tail_val
 
             if not heap.is_full:
@@ -587,114 +504,6 @@ class AWMSketch(ScaledSketchTable):
                     coeff * tail_signs[:, stay],
                     flat_buckets=flat_tail[:, stay],
                 )
-        self.t += 1
-        return tau
-
-    def _update_example_fused(
-        self,
-        tail_idx: np.ndarray,
-        tail_val: np.ndarray,
-        y: int,
-        heap_slots: np.ndarray | None,
-        heap_val: np.ndarray | None,
-        in_sketch,
-        buckets: np.ndarray | None,
-        signs: np.ndarray | None,
-        promo_log: list | None,
-    ) -> float:
-        """One Algorithm 2 step through the ``fused_awm_update`` kernel.
-
-        The kernel performs the whole chain — margin (active set +
-        tail), loss derivative, both lazy decays, active-set gradient
-        step, tail recovery and the promotion screen — and finishes the
-        stay-scatter itself in the common no-promotion case.  When a
-        candidate beats the admission threshold it returns with
-        ``handled`` false *before any table write*, leaving state
-        exactly where the unfused chain stands entering its sequential
-        promotion loop, which then runs here unchanged.  State and
-        returned margins are bit-identical to the unfused chain
-        (fuzzed per backend in ``tests/test_fused_awm.py``).
-        """
-        heap = self.heap
-        kb = self.kernels
-        if buckets is None:
-            tail_buckets, tail_signs = self.family.all_rows(tail_idx)
-        else:
-            tail_buckets = buckets[:, in_sketch]
-            tail_signs = signs[:, in_sketch]
-        if self.depth == 1:
-            flat_tail = tail_buckets  # row offsets are all zero
-        else:
-            flat_tail = tail_buckets + self._row_offsets
-        eta = self.schedule(self.t)
-        # Same raise point as the unfused chain: nothing has mutated
-        # when an invalid eta * lambda is detected.
-        decay = self._decay_factor(eta) if self.lambda_ > 0.0 else 1.0
-        tail_n = tail_idx.size
-        ws = self._workspace()
-        gathered = ws.array("x_gathered", (tail_n, self.depth))
-        candidates = ws.array("x_cand", tail_n)
-        if heap_slots is None:
-            heap_slots = _EMPTY_SLOTS
-            heap_val = _EMPTY_VALUES
-        # The kernel's only table writes are the tail stay-scatter (at
-        # flat_tail) and a possible renorm fold; mark the scatter
-        # targets up front (over-marking is safe; the no-stay-scatter
-        # promotion bail-out over-marks at most one example's tail) and
-        # detect the fold below.
-        self._mark_dirty_flat(flat_tail)
-        tau, new_scale, new_heap_scale, handled = kb.fused_awm_update(
-            self._table_flat, flat_tail, tail_signs, tail_val,
-            heap._raw, heap_slots, heap_val, heap._n, y,
-            eta, decay, self.lambda_, self._scale, heap._scale,
-            self._sqrt_s, self.loss.kernel_id, self.loss.kernel_param,
-            self.l1, gathered, candidates,
-        )
-        tau = float(tau)
-        self._scale = float(new_scale)
-        # Exact fold detection: the kernel applies one decay per
-        # example, and a renorm leaves the scale at exactly 1.0 — any
-        # other post-decay value is a plain multiply.  (A scale that was
-        # already exactly 1.0 over-marks harmlessly.)
-        if self.lambda_ > 0.0 and self._scale == 1.0:
-            self._note_renorm_folds(1)
-            self._mark_dirty_all()
-        heap._scale = float(new_heap_scale)
-        if heap_slots.size:
-            # add_many semantics: any touched slot can sink below the
-            # cached minimum; decays alone preserve it.
-            heap._min_slot = -1
-        if handled != 0.0:
-            self.t += 1
-            return tau
-        # A promotion is possible: the kernel stopped after computing
-        # the candidates (state == the unfused chain entering its
-        # promotion loop).  Recompute the (bit-identical) step and run
-        # the sequential screen exactly as the unfused path does.
-        g = self.loss.dloss(y * tau)
-        step = eta * y * g
-        live = kb.screen_abs_gt(candidates, heap.min_priority())
-        stay_mask = np.ones(tail_n, dtype=bool)
-        for pos in live.tolist():
-            idx = int(tail_idx[pos])
-            c = float(candidates[pos])
-            min_key, min_weight = heap.min_entry()
-            if abs(c) > abs(min_weight):
-                self._promote(idx, c, min_key, min_weight, promo_log)
-                stay_mask[pos] = False
-        stay = np.flatnonzero(stay_mask)
-        if stay.size == tail_n:
-            coeff = (-step / (self._sqrt_s * self._scale)) * tail_val
-            self._scatter_add(
-                tail_buckets, coeff * tail_signs, flat_buckets=flat_tail
-            )
-        elif stay.size:
-            coeff = (-step / (self._sqrt_s * self._scale)) * tail_val[stay]
-            self._scatter_add(
-                tail_buckets[:, stay],
-                coeff * tail_signs[:, stay],
-                flat_buckets=flat_tail[:, stay],
-            )
         self.t += 1
         return tau
 
@@ -790,24 +599,19 @@ class AWMSketch(ScaledSketchTable):
                 )
             else:
                 if buckets is None:
-                    if self.use_fused:
-                        # Hash into workspace arenas (cached, dedup) —
-                        # the zero-allocation batched front-end.
-                        ws = self._workspace()
-                        nnz = indices.size
-                        buckets = ws.array(
-                            "b_buckets", (self.depth, nnz), np.int64
-                        )
-                        signs = ws.array("b_signs", (self.depth, nnz))
-                        self._batch_hasher.rows_into(
-                            indices, buckets, signs
-                        )
-                    else:
-                        buckets, signs = self._batch_hasher.rows(indices)
+                    # Hash into workspace arenas (cached, dedup) — the
+                    # zero-allocation batched front-end.
+                    ws = self._workspace()
+                    nnz = indices.size
+                    buckets = ws.array(
+                        "b_buckets", (self.depth, nnz), np.int64
+                    )
+                    signs = ws.array("b_signs", (self.depth, nnz))
+                    self._batch_hasher.rows_into(indices, buckets, signs)
                 if slot_cache is None or slot_cache.stale:
                     slot_cache = BatchSlotCache(
                         heap, indices, reuse=slot_cache,
-                        ws=self._workspace() if self.use_fused else None,
+                        ws=self._workspace(),
                     )
                 margins[i] = self._update_example(
                     indices[lo:hi],

@@ -121,15 +121,6 @@ class ScaledSketchTable(StreamingClassifier):
     #: one-shot :meth:`merge`).
     ps_delta_sync: bool = False
 
-    #: Route batched work through the fused mega-kernels
-    #: (:mod:`repro.kernels.api`) over the model's preallocated
-    #: :class:`~repro.kernels.workspace.KernelWorkspace`.  On by
-    #: default; turned off (or forced off by a loss without a
-    #: ``kernel_id``) every batched path falls back to the original
-    #: per-kernel chain — the executable reference the fused paths are
-    #: fuzz-checked against (``tests/test_fused_kernels.py``).
-    use_fused: bool = True
-
     def __init__(
         self,
         width: int,
@@ -842,10 +833,10 @@ class ScaledSketchTable(StreamingClassifier):
     def _check_decay_window(self, etas: np.ndarray) -> None:
         """Pre-validate a whole window of decays for the fused kernel.
 
-        The unfused chain raises mid-batch at the first offending
-        example (with earlier updates already applied); the fused
-        kernel cannot raise mid-stream, so the window is validated up
-        front — same trigger condition (``1 - eta * lambda <= 0`` iff
+        Per-example :meth:`update` raises at the first offending example
+        (with earlier updates already applied); the fused kernel cannot
+        raise mid-stream, so the window is validated up front — same
+        trigger condition (``1 - eta * lambda <= 0`` iff
         ``eta * lambda >= 1``), same message, but no partial state.
         """
         lam = self.lambda_
@@ -905,10 +896,7 @@ class ScaledSketchTable(StreamingClassifier):
         return self._margin_from_products(buckets, signs * values)
 
     def _margin_from_products(
-        self,
-        buckets: np.ndarray,
-        sign_values: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
+        self, buckets: np.ndarray, sign_values: np.ndarray
     ) -> float:
         """Margin from precomputed sign*value products (batched kernels).
 
@@ -918,12 +906,8 @@ class ScaledSketchTable(StreamingClassifier):
         *exactly* rounded (``math.fsum`` semantics), so the reduction is
         independent of summation order and buffer alignment (NumPy's
         SIMD ``.sum()`` is not).
-
-        ``flat_buckets`` may carry precomputed ``buckets + row_offsets``
-        (batched kernels amortize that add over the whole batch).
         """
-        if flat_buckets is None:
-            flat_buckets = buckets + self._row_offsets
+        flat_buckets = buckets + self._row_offsets
         # scratch=False: reached from the serial-scalar serving path,
         # which runs concurrently with the coalescer's batched reads on
         # the same snapshot and must not touch the shared workspace.
@@ -958,7 +942,6 @@ class ScaledSketchTable(StreamingClassifier):
         self,
         buckets: np.ndarray,
         signs: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
         gathered_t: np.ndarray | None = None,
     ) -> np.ndarray:
         """Count-Sketch recovery: median over rows of sqrt(s)*alpha*sigma*z.
@@ -976,14 +959,14 @@ class ScaledSketchTable(StreamingClassifier):
         """
         kb = self.kernels
         if gathered_t is None:
-            if flat_buckets is None:
-                flat_buckets = buckets + self._row_offsets
             # scratch=False: top_weights / scalar estimates land here
             # from both the serial thread and the coalescer thread on a
             # shared snapshot — no workspace scratch allowed.
             gathered_t = kb.gather_rows_t(
                 self._table_flat,
-                self._translate_flat(flat_buckets, scratch=False),
+                self._translate_flat(
+                    buckets + self._row_offsets, scratch=False
+                ),
             )
         if self.depth == 1:
             factor = self._scale
@@ -994,11 +977,7 @@ class ScaledSketchTable(StreamingClassifier):
             est = np.sign(est) * np.maximum(np.abs(est) - self.l1, 0.0)
         return est
 
-    def _estimate_bound(
-        self,
-        buckets: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
-    ) -> float:
+    def _estimate_bound(self, buckets: np.ndarray) -> float:
         """Cheap upper bound on ``max_i |estimate_i|`` for the given rows.
 
         The median over rows is bounded in magnitude by the largest row
@@ -1010,11 +989,11 @@ class ScaledSketchTable(StreamingClassifier):
         """
         if buckets.size == 0:
             return 0.0
-        if flat_buckets is None:
-            flat_buckets = buckets + self._row_offsets
         hi = self.kernels.estimate_bound(
             self._table_flat,
-            self._translate_flat(flat_buckets, scratch=False),
+            self._translate_flat(
+                buckets + self._row_offsets, scratch=False
+            ),
         )
         if self.depth == 1:
             bound = self._scale * hi

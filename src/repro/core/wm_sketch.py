@@ -40,8 +40,6 @@ sequence over the precomputed rows — bit-identical state to calling
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro import kernels
@@ -207,18 +205,16 @@ class WMSketch(ScaledSketchTable):
         pipelined ingestion path's prefetch hasher; hashes are pure, so
         supplied rows are interchangeable with hashing here.
 
-        Losses without a kernel id (custom losses) and
-        ``use_fused=False`` take the original per-kernel chain
-        (:meth:`_fit_batch_unfused`) — the executable reference for the
-        fused path.  One visible difference: an invalid decay
-        (``eta * lambda >= 1``) raises *before* any update on the fused
-        path, where the unfused chain raises mid-batch.
+        A loss without a kernel id (a custom loss) runs the NumPy
+        reference kernel, which calls the loss's own ``dloss`` (see
+        :func:`repro.kernels.fused_update_for`).  An invalid decay
+        (``eta * lambda >= 1``) anywhere in the batch raises *before*
+        any update, where per-example :meth:`update` calls would have
+        applied the examples ahead of it.
         """
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.use_fused or self.loss.kernel_id is None:
-            return self._fit_batch_unfused(batch, rows)
         # The enabled check runs before any span allocation, so the
         # disabled cost is one flag read plus one extra call — the
         # telemetry overhead contract gated by BENCH_telemetry.json.
@@ -257,11 +253,14 @@ class WMSketch(ScaledSketchTable):
         # validated above), so marking after the call cannot miss
         # writes.
         touched = ws.array("touched", 1 + self.depth * nnz, np.int64)
+        fused_update, loss_id = kernels.fused_update_for(
+            self.kernels, self.loss
+        )
         with _trace.span("fused_update"):
-            self._scale = self.kernels.fused_update(
+            self._scale = fused_update(
                 self._table_flat, flat, sign_values, batch.indptr,
                 batch.labels, etas, self.lambda_, self._scale, self._sqrt_s,
-                self.loss.kernel_id, self.loss.kernel_param,
+                loss_id, self.loss.kernel_param,
                 margins, gathered, scales, kernels.EMPTY_SCRATCH, touched,
             )
         if touched[0]:
@@ -408,9 +407,11 @@ class WMSketch(ScaledSketchTable):
 
         ``bound_for()`` / ``estimates_for()`` lazily provide the
         estimate bound and the per-feature estimates — from the live
-        table on the unfused path, from the fused kernel's recording on
-        the fused path — so the decision structure exists exactly once
-        and the two paths cannot drift apart.
+        table in per-example :meth:`update`, from the fused kernel's
+        recording in :meth:`fit_batch` — so the decision structure
+        exists exactly once and the two paths cannot drift apart.
+        ``promo_log``, when given, receives an ``(admitted, evicted)``
+        pair per admission so the batch's slot cache can be patched.
         """
         heap = self.heap
         screen_k = self.kernels.screen_abs_gt
@@ -469,110 +470,11 @@ class WMSketch(ScaledSketchTable):
                                 (idx, evicted[0] if evicted else None)
                             )
 
-    def _fit_batch_unfused(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The original per-kernel mini-batch chain (pre-fusion).
-
-        Retained verbatim as the executable reference the fused path is
-        fuzz-checked against, and as the fallback for custom losses the
-        kernels cannot represent.  State is bit-identical to per-example
-        :meth:`update` calls *and* to the fused path.
-        """
-        n = len(batch)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        if rows is None:
-            buckets, signs = self._batch_hasher.rows(batch.indices)
-        else:
-            buckets, signs = rows
-        sign_values = signs * batch.values
-        flat = buckets + self._row_offsets
-        # Mark the whole batch's scatter targets dirty up front: the
-        # decay check below can raise mid-batch, after some examples
-        # already scattered — over-marking is always safe, a missed
-        # write never is.
-        self._mark_dirty_flat(flat)
-        etas = self.schedule.many(self.t, n)
-        indptr = batch.indptr.tolist()
-        labels = batch.labels.tolist()
-        indices = batch.indices
-        heap = self.heap
-        # Heap membership for the whole batch, answered once and patched
-        # per admission/eviction (see BatchSlotCache).
-        slot_cache: BatchSlotCache | None = None
-        promo_log: list = []
-        if heap is not None:
-            slot_cache = BatchSlotCache(heap, indices)
-        # The loop below is the same arithmetic as :meth:`update` with
-        # the margin / decay / scatter helpers inlined — every method
-        # call costs ~0.5us of frame overhead at this granularity.  The
-        # kernel backend is resolved once and its functions bound to
-        # locals for the whole batch.
-        kb = self.kernels
-        margin_k = kb.margin
-        scatter_k = kb.scatter_add
-        dloss = self.loss.dloss
-        table_flat = self._table_flat
-        sqrt_s = self._sqrt_s
-        lam = self.lambda_
-        margins = [0.0] * n
-        lo = indptr[0]
-        for i in range(n):
-            hi = indptr[i + 1]
-            fb = flat[:, lo:hi]
-            sv = sign_values[:, lo:hi]
-            scale = self._scale
-            tau = margin_k(table_flat, fb, sv, scale, sqrt_s)
-            margins[i] = tau
-            y = labels[i]
-            g = dloss(y * tau)
-            eta = etas[i]
-            if lam > 0.0:
-                decay = 1.0 - eta * lam
-                if decay <= 0.0:
-                    raise ValueError(
-                        f"eta * lambda = {eta * lam} >= 1; decrease eta0"
-                    )
-                scale *= decay
-                if scale < _RENORM_THRESHOLD:
-                    self._fold_log += math.log(scale)
-                    self.table *= scale
-                    scale = 1.0
-                    self._mark_dirty_all()
-                self._scale = scale
-            scatter_k(table_flat, fb, (-eta * y * g / (sqrt_s * scale)) * sv)
-            self.t += 1
-            if heap is not None:
-                if slot_cache.stale:
-                    slot_cache = BatchSlotCache(
-                        heap, indices, reuse=slot_cache
-                    )
-                self._maintain_heap(
-                    indices[lo:hi],
-                    buckets[:, lo:hi],
-                    signs[:, lo:hi],
-                    flat_buckets=fb,
-                    slots=slot_cache.slice(lo, hi),
-                    promo_log=promo_log,
-                )
-                if promo_log:
-                    for admitted, evicted in promo_log:
-                        slot_cache.apply(admitted, evicted)
-                    promo_log.clear()
-            lo = hi
-        return np.asarray(margins)
-
     def _maintain_heap(
         self,
         indices: np.ndarray,
         buckets: np.ndarray,
         signs: np.ndarray,
-        flat_buckets: np.ndarray | None = None,
-        slots: np.ndarray | None = None,
-        promo_log: list | None = None,
     ) -> None:
         """Passive heavy-weight tracking after one example's update.
 
@@ -585,9 +487,7 @@ class WMSketch(ScaledSketchTable):
         be pure waste.
 
         The store turned the per-feature probe-and-sift loop into three
-        vectorized strokes: one membership probe (or a precomputed
-        ``slots`` view from the batched kernel's
-        :class:`~repro.heap.topk.BatchSlotCache`), one
+        vectorized strokes: one membership probe, one
         :meth:`~repro.heap.topk.TopKStore.set_many` refreshing every
         member's estimate, and one screen selecting the candidates that
         beat the admission threshold — members are refreshed before
@@ -597,18 +497,12 @@ class WMSketch(ScaledSketchTable):
         sequential pushes would.  The decision structure itself lives
         in :meth:`_maintain_decide`, shared with the fused replay.
         """
-        if slots is None:
-            slots = self.heap.member_slots(indices)
         self._maintain_decide(
             indices,
-            slots,
-            lambda: self._estimate_bound(
-                buckets, flat_buckets=flat_buckets
-            ),
-            lambda: self._estimate_from_rows(
-                buckets, signs, flat_buckets=flat_buckets
-            ),
-            promo_log,
+            self.heap.member_slots(indices),
+            lambda: self._estimate_bound(buckets),
+            lambda: self._estimate_from_rows(buckets, signs),
+            None,
         )
 
     # ------------------------------------------------------------------

@@ -78,6 +78,7 @@ __all__ = [
     "set_backend",
     "active_backend_name",
     "backend_epoch",
+    "fused_update_for",
 ]
 
 #: Environment variable naming the default backend for the process.
@@ -226,6 +227,20 @@ def backend_epoch() -> int:
     """Monotone counter of process-wide backend changes (see
     :class:`BackendHandle`)."""
     return _epoch
+
+
+def fused_update_for(backend: KernelBackend, loss) -> tuple:
+    """``(fused_update, loss_id)`` that train ``loss`` on ``backend``.
+
+    A loss with a ``kernel_id`` runs the backend's own kernel.  A loss
+    without one (a custom loss) runs the NumPy reference kernel with the
+    loss object itself as ``loss_id``, so the kernel calls its
+    ``dloss`` — the loop backends only know the derivatives by id.
+    Every backend is bit-identical, so the route never changes results.
+    """
+    if loss.kernel_id is not None:
+        return backend.fused_update, loss.kernel_id
+    return _load("numpy").fused_update, loss
 
 
 class BackendHandle:

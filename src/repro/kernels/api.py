@@ -88,8 +88,12 @@ too small.
 
 Loss derivatives are selected by an integer ``loss_id`` matching
 :attr:`repro.learning.losses.Loss.kernel_id` (0 logistic, 1 smoothed
-hinge with ``loss_param`` = gamma, 2 hinge, 3 squared); a loss without
-a ``kernel_id`` simply keeps the unfused path.
+hinge with ``loss_param`` = gamma, 2 hinge, 3 squared).  The NumPy
+reference ``fused_update`` also accepts the loss object itself as
+``loss_id`` and calls its ``dloss``: a loss without a ``kernel_id``
+trains through that kernel whatever the model's backend (the loop
+backends inline the derivatives by id), see
+:func:`repro.kernels.fused_update_for`.
 
 ``fused_update(table_flat, flat_buckets, sign_values, indptr, labels,
 etas, lam, scale, sqrt_s, loss_id, loss_param, margins_out,
@@ -99,7 +103,7 @@ gathered_out, scales_out, scratch, touched_out) -> float``
     (the ``margin`` kernel), the loss derivative, the lazy L2 decay of
     ``scale`` (with the 1e-150 underflow renormalization folded into
     ``table_flat``), and the eta-scaled ``scatter_add`` — state
-    bit-identical to the unfused per-example chain.  Pre-update margins
+    bit-identical to per-example updates.  Pre-update margins
     land in ``margins_out``.  When ``gathered_out`` is non-empty
     (shape ``(nnz, depth)``), the example's *post-update* table cells
     are recorded into its rows and the post-decay scale into
@@ -123,8 +127,7 @@ gathered_out, scales_out, scratch, touched_out) -> float``
     bounds-check the fast path).
 
     Returns the final scale.  Callers must pre-validate ``eta * lam <
-    1`` for the whole window (the unfused chain raises mid-batch; the
-    fused kernel assumes validity).
+    1`` for the whole window (the kernel assumes validity).
 
 ``fused_predict(table_flat, flat_buckets, sign_values, indptr, scale,
 sqrt_s, out, scratch) -> None``
@@ -138,38 +141,8 @@ est_out, scratch) -> None``
     Recovery queries: one transposed gather (``gather_rows_t``) written
     to ``gathered_out`` plus the ``median_estimate`` of
     ``signs_t * gathered`` times ``factor`` written to ``est_out``.
-    Callers that need both the raw cells and the estimates (the AWM
-    shared-gather update, the serving ``query_many``) get them from a
-    single call.
-
-``fused_awm_update(table_flat, flat_tail, signs_tail, tail_values,
-heap_raw, heap_slots, heap_xvals, n_heap, y, eta, decay, lam, scale,
-heap_scale, sqrt_s, loss_id, loss_param, l1, gathered_out,
-candidates_out) -> (tau, scale, heap_scale, handled)``
-    One whole AWM example in a single call: the active-set margin
-    contribution (sequential ``raw[slot] * heap_scale * x`` adds, the
-    exact element order of the per-example chain), the tail's
-    ``margin_gathered`` over a fresh transposed gather into
-    ``gathered_out``, the loss derivative, the lazy L2 decay of *both*
-    scales (each with the 1e-150 renorm fold; a table fold re-gathers
-    ``gathered_out`` so the recovery below sees post-fold cells), the
-    active-set gradient step (``add_many`` semantics: deltas divided by
-    the store scale unless it is 1.0), the tail recovery
-    (``median_estimate`` at factor ``scale`` for depth 1 else
-    ``sqrt_s * scale``, soft-thresholded by ``l1`` when positive) minus
-    the gradient step into ``candidates_out``, and the promotion screen
-    against the store's minimum priority (first-minimum ``|raw|`` over
-    the live prefix times ``heap_scale`` — requires the store's
-    ``abs``-priority default and a *full* store).  If **no** candidate
-    beats the threshold the whole-tail stay-scatter is applied and
-    ``handled`` is 1.0; otherwise the kernel stops before any scatter
-    and returns ``handled`` 0.0 so the caller can run the sequential
-    promotion loop on ``candidates_out`` — either way ``tau`` and both
-    post-decay scales come back in the returned 4-tuple (all float64;
-    the caller re-syncs model and store state).  Bit-identical, state
-    and return, to the unfused ``_update_example`` chain over the same
-    inputs — the fuzz suite drives both orders.  ``tail_values`` must
-    be non-empty (callers keep the empty-tail fast path).
+    The serving ``query_many`` gets the raw cells and the estimates
+    from this single call.
 
 Non-finite inputs (inf / NaN) are outside the kernel contract: the
 classifiers never produce them from finite streams, and the exact-sum
@@ -193,13 +166,12 @@ KERNEL_NAMES = (
     "fused_update",
     "fused_predict",
     "fused_query",
-    "fused_awm_update",
 )
 
 #: The lazy-scale underflow threshold shared with the classifiers
 #: (``repro.core.sketch_table._RENORM_THRESHOLD``); the fused update
-#: kernels renormalize at exactly this boundary so fused and unfused
-#: replays fold the scale into the table on the same step.
+#: kernels renormalize at exactly this boundary so batched and
+#: per-example replays fold the scale into the table on the same step.
 RENORM_THRESHOLD = 1e-150
 
 

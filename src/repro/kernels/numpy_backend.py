@@ -136,13 +136,16 @@ def screen_abs_gt(values: np.ndarray, threshold: float) -> np.ndarray:
 # Fused mega-kernels: the per-example chains composed from the reference
 # primitives above, with every intermediate living in the caller's
 # scratch buffer (zero allocations in steady state).  Loss derivatives
-# come from the *actual* loss classes, so fused and unfused replays run
-# literally the same ``dloss`` code.
+# come from the *actual* loss classes, so batched and per-example
+# replays run literally the same ``dloss`` code.
 # ----------------------------------------------------------------------
 
-def _loss_object(loss_id: int, loss_param: float):
+def _loss_object(loss_id, loss_param: float):
     from repro.learning import losses as _losses
 
+    if isinstance(loss_id, _losses.Loss):
+        # A loss without a kernel_id travels as the object itself.
+        return loss_id
     if loss_id == 0:
         return _LOSS_SINGLETONS.setdefault(0, _losses.LogisticLoss())
     if loss_id == 1:
@@ -177,7 +180,7 @@ def fused_update(
     lam: float,
     scale: float,
     sqrt_s: float,
-    loss_id: int,
+    loss_id,
     loss_param: float,
     margins_out: np.ndarray,
     gathered_out: np.ndarray,
@@ -185,8 +188,8 @@ def fused_update(
     scratch: np.ndarray,
     touched_out: np.ndarray,
 ) -> float:
-    # The exact per-example chain of the unfused fit_batch loop with
-    # the margin / scatter kernel bodies inlined (``scratch`` unused:
+    # The exact chain of per-example ``update`` calls with the margin /
+    # scatter kernel bodies inlined (``scratch`` unused:
     # NumPy's small-block allocator beats ``np.take(out=)``'s checked
     # copy path for per-example temporaries, measured ~20%; the
     # batch-lifetime arrays are the caller's workspace views).
@@ -296,77 +299,6 @@ def fused_query(
         np.add(rows[:, mid - 1], rows[:, mid], out=est_out)
         est_out *= 0.5
         est_out *= factor
-
-
-def fused_awm_update(
-    table_flat: np.ndarray,
-    flat_tail: np.ndarray,
-    signs_tail: np.ndarray,
-    tail_values: np.ndarray,
-    heap_raw: np.ndarray,
-    heap_slots: np.ndarray,
-    heap_xvals: np.ndarray,
-    n_heap: int,
-    y: int,
-    eta: float,
-    decay: float,
-    lam: float,
-    scale: float,
-    heap_scale: float,
-    sqrt_s: float,
-    loss_id: int,
-    loss_param: float,
-    l1: float,
-    gathered_out: np.ndarray,
-    candidates_out: np.ndarray,
-) -> tuple:
-    # The AWM per-example chain composed from the reference primitives —
-    # literally the sequence of calls ``_update_example`` makes, so the
-    # loop backend above can be fuzzed against it (see kernels.api for
-    # the step-by-step contract).
-    tau = 0.0
-    if heap_slots.size:
-        # values_at semantics: (raw[slot] * heap_scale) * x, summed in
-        # element order (the reference's sequential += accumulation).
-        for p in ((heap_raw[heap_slots] * heap_scale) * heap_xvals).tolist():
-            tau += p
-    gathered_out[:] = table_flat.take(flat_tail.T)
-    tau += margin_gathered(
-        gathered_out, (signs_tail * tail_values).T, scale, sqrt_s
-    )
-    g = _loss_object(loss_id, loss_param).dloss(y * tau)
-    if lam > 0.0:
-        heap_scale *= decay
-        if heap_scale < _RENORM:
-            heap_raw[:n_heap] *= heap_scale
-            heap_scale = 1.0
-        scale *= decay
-        if scale < _RENORM:
-            table_flat *= scale
-            scale = 1.0
-            gathered_out[:] = table_flat.take(flat_tail.T)
-    step = eta * y * g
-    if heap_slots.size:
-        deltas = -step * heap_xvals
-        np.add.at(
-            heap_raw,
-            heap_slots,
-            deltas if heap_scale == 1.0 else deltas / heap_scale,
-        )
-    depth = flat_tail.shape[0]
-    factor = scale if depth == 1 else sqrt_s * scale
-    # The fused-query association order: raw medians at factor 1.0, then
-    # one multiply by the true factor.
-    queries = factor * median_estimate(gathered_out, signs_tail.T, 1.0)
-    if l1 > 0.0:
-        queries = np.sign(queries) * np.maximum(np.abs(queries) - l1, 0.0)
-    np.subtract(queries, step * tail_values, out=candidates_out)
-    threshold = float(np.abs(heap_raw[:n_heap]).min()) * heap_scale
-    if screen_abs_gt(candidates_out, threshold).size:
-        return (tau, scale, heap_scale, 0.0)
-    coeff = (-step / (sqrt_s * scale)) * tail_values
-    np.add.at(table_flat, flat_tail, coeff * signs_tail)
-    return (tau, scale, heap_scale, 1.0)
 
 
 BACKEND = KernelBackend(

@@ -56,10 +56,6 @@ class FeatureHashing(StreamingClassifier):
     #: Number of independently trained models folded in via :meth:`merge`.
     merged_from: int = 1
 
-    #: Route ``fit_batch`` through the fused update mega-kernel (see
-    #: :class:`repro.core.sketch_table.ScaledSketchTable.use_fused`).
-    use_fused: bool = True
-
     def __init__(
         self,
         width: int,
@@ -165,7 +161,7 @@ class FeatureHashing(StreamingClassifier):
         """One lazy L2 decay step with the same validity check the
         sketches apply (``eta * lambda >= 1`` would flip or zero the
         model — historically this corrupted silently; now it raises on
-        every path, so fused, unfused and per-example stay equivalent
+        every path, so batched and per-example training stay equivalent
         in the pathological regime too)."""
         decay = 1.0 - eta * self.lambda_
         if decay <= 0.0:
@@ -265,17 +261,16 @@ class FeatureHashing(StreamingClassifier):
         The whole per-example chain — exactly-rounded margin, loss
         derivative, lazy decay, gradient scatter — runs inside a single
         ``fused_update`` over workspace buffers; state is bit-identical
-        to per-example updates and to the retained unfused chain
-        (:meth:`_fit_batch_unfused`, used for custom losses or
-        ``use_fused=False``).  Returns the pre-update margins.  ``rows``
-        may carry precomputed ``(buckets, signs)`` from the pipelined
-        prefetch hasher.
+        to per-example updates.  A custom loss (no kernel id) runs the
+        NumPy reference kernel on its own ``dloss`` (see
+        :func:`repro.kernels.fused_update_for`), and an invalid decay
+        anywhere in the batch raises before any update.  Returns the
+        pre-update margins.  ``rows`` may carry precomputed
+        ``(buckets, signs)`` from the pipelined prefetch hasher.
         """
         n = len(batch)
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if not self.use_fused or self.loss.kernel_id is None:
-            return self._fit_batch_unfused(batch, rows)
         ws = self._workspace()
         nnz = batch.indices.size
         if rows is None:
@@ -293,57 +288,19 @@ class FeatureHashing(StreamingClassifier):
         etas[:] = self.schedule.many(self.t, n)
         self._check_decay_window(etas)
         margins = np.empty(n, dtype=np.float64)
+        fused_update, loss_id = kernels.fused_update_for(
+            self.kernels, self.loss
+        )
         # Depth-1 table: flat buckets are the buckets themselves, and
         # the margin normalization is sqrt(s) = 1.
-        self._scale = self.kernels.fused_update(
+        self._scale = fused_update(
             self.table, buckets, sv, batch.indptr, batch.labels, etas,
             self.lambda_, self._scale, 1.0,
-            self.loss.kernel_id, self.loss.kernel_param,
+            loss_id, self.loss.kernel_param,
             margins, kernels.EMPTY_GATHER, kernels.EMPTY_SCALES,
             kernels.EMPTY_SCRATCH, kernels.EMPTY_TOUCHED,
         )
         self.t += n
-        return margins
-
-    def _fit_batch_unfused(
-        self,
-        batch: SparseBatch,
-        rows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The original per-kernel mini-batch chain — the executable
-        reference the fused path is fuzz-checked against."""
-        n = len(batch)
-        margins = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return margins
-        if rows is None:
-            all_buckets, all_signs = self._batch_hasher.rows(batch.indices)
-        else:
-            all_buckets, all_signs = rows
-        buckets = all_buckets[0]
-        if self.signed:
-            sign_values = all_signs[0] * batch.values
-        else:
-            sign_values = batch.values
-        indptr = batch.indptr.tolist()
-        labels = batch.labels.tolist()
-        table = self.table
-        kb = self.kernels
-        margin_k = kb.margin
-        scatter_k = kb.scatter_add
-        for i in range(n):
-            lo, hi = indptr[i], indptr[i + 1]
-            b = buckets[lo:hi]
-            sv = sign_values[lo:hi]
-            tau = margin_k(table, b, sv, self._scale, 1.0)
-            margins[i] = tau
-            y = labels[i]
-            g = self.loss.dloss(y * tau)
-            eta = self.schedule(self.t)
-            if self.lambda_ > 0.0:
-                self._decay(eta)
-            scatter_k(table, b, -(eta * y * g / self._scale) * sv)
-            self.t += 1
         return margins
 
     # ------------------------------------------------------------------

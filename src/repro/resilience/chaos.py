@@ -61,8 +61,9 @@ class ConstGradLoss(Loss):
     float64.  Not a statistical loss (it is unbounded below) — it
     exists to make parallel-training algebra *exact* so schedules,
     merges, and fault recovery can be asserted bit-for-bit.
-    ``kernel_id`` stays ``None``: models take the unfused per-kernel
-    chain — same arithmetic, no fused-path special cases.
+    ``kernel_id`` stays ``None``: batched training runs the NumPy
+    reference ``fused_update``, which calls this ``dloss`` directly —
+    the same arithmetic as per-example updates on every backend.
     """
 
     smoothness = 0.0

@@ -6,7 +6,7 @@ returned margins array and interpreter bookkeeping, nothing scaling
 with the number of batches and nothing at nnz scale.  Measured with
 tracemalloc (NumPy registers its buffers with it), the same tool the
 committed allocation benchmark (``benchmarks/bench_allocations.py``)
-uses for the peak-transient comparison.
+uses for its peak-transient ceilings.
 """
 
 from __future__ import annotations
@@ -77,27 +77,24 @@ def test_workspace_arenas_stop_growing():
 
 
 def test_fused_peak_transients_beat_unfused():
-    """The fused path's transient high-water mark must undercut the
-    unfused chain's by a wide margin (the committed benchmark records
-    the exact ratio; this is the always-on floor)."""
+    """The fused path's transient high-water mark must stay under half
+    of the 252,880 B the per-kernel (unfused) batch chain peaked at on
+    this workload (the fused path peaks at 54,920 B; the committed
+    benchmark records the Fig. 7 figures).  An nnz-scale temporary
+    chain re-materialized per batch would cross the bound."""
     batches = _batches(n=512)
-
-    def peak(use_fused):
-        model = WMSketch(2**12, 3, seed=0, heap_capacity=0)
-        model.use_fused = use_fused
+    model = WMSketch(2**12, 3, seed=0, heap_capacity=0)
+    for b in batches:
+        model.fit_batch(b)  # warmup
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
         for b in batches:
-            model.fit_batch(b)  # warmup
-        gc.collect()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base, _ = tracemalloc.get_traced_memory()
-            for b in batches:
-                model.fit_batch(b)
-            _, high = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return max(high - base, 1)
-
-    fused, unfused = peak(True), peak(False)
-    assert fused * 2 < unfused, (fused, unfused)
+            model.fit_batch(b)
+        _, high = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak = max(high - base, 1)
+    assert peak <= 252_880 // 2, peak

@@ -267,11 +267,11 @@ class TestQueryGate:
 # ----------------------------------------------------------------------
 # Allocation gate (--kind alloc, PR 5)
 # ----------------------------------------------------------------------
-def _alloc_doc(headline=12.0, heap=10.0):
+def _alloc_doc(headline=81_416, heap=111_536):
     return {
         "workload": {"dataset": "x"},
-        "wm_algorithm1": {"peak_reduction_x": headline},
-        "wm_with_heap": {"peak_reduction_x": heap},
+        "wm_algorithm1": {"peak_transient_bytes": headline},
+        "wm_with_heap": {"peak_transient_bytes": heap},
     }
 
 
@@ -280,11 +280,31 @@ class TestAllocGate:
         doc = _alloc_doc()
         assert check_regression.check_alloc(doc, doc, 0.30) == []
 
-    def test_reduction_below_floor_fails(self):
+    def test_peak_above_ceiling_fails(self):
+        # Inflate the baseline too, so only the ceiling can fire.
+        high = _alloc_doc(headline=200_000)
+        failures = check_regression.check_alloc(high, high, 0.30)
+        assert any("wm_algorithm1" in f and "ceiling" in f
+                   for f in failures)
+
+    def test_peak_growth_past_threshold_fails(self):
+        # 81,416 -> 110,000 B is +35%: under the ceiling, past the trend.
         failures = check_regression.check_alloc(
-            _alloc_doc(headline=2.0), _alloc_doc(), 0.30
+            _alloc_doc(headline=110_000), _alloc_doc(), 0.30
         )
-        assert any("wm_algorithm1" in f for f in failures)
+        assert any("regressed" in f for f in failures)
+
+    def test_peak_shrink_passes(self):
+        assert check_regression.check_alloc(
+            _alloc_doc(headline=40_000, heap=50_000), _alloc_doc(), 0.30
+        ) == []
+
+    def test_ceilings_no_looser_than_the_ratio_gate(self):
+        # The former floor + 30% trend gate allowed the committed fused
+        # peaks (81,320 B and 111,360 B) to grow to peak / 0.7.
+        ceilings = check_regression.ALLOC_CEILINGS
+        assert ceilings["wm_algorithm1"] <= 81_320 / 0.7
+        assert ceilings["wm_with_heap"] <= 111_360 / 0.7
 
     def test_missing_config_fails(self):
         failures = check_regression.check_alloc(
@@ -589,7 +609,9 @@ class TestGatesPolicyFile:
             policy["throughput"]["floors"]
         )
         assert check_regression.QUERY_FLOORS == policy["query"]["floors"]
-        assert check_regression.ALLOC_FLOORS == policy["alloc"]["floors"]
+        assert check_regression.ALLOC_CEILINGS == (
+            policy["alloc"]["ceilings"]
+        )
         assert check_regression.SERVING_FLOORS == (
             policy["serving"]["floors"]
         )

@@ -1,16 +1,15 @@
-"""Whole-example fused AWM update: the ``fused_awm_update`` contract.
+"""Batched AWM training: ``fit_batch`` against per-example ``update``.
 
-The mega-kernel collapses the entire Algorithm 2 step — active-set +
-tail margin, loss derivative, both lazy decays, active-set gradient
-step, tail recovery, promotion screen, stay-scatter — into one call,
-bailing out before any table write when a promotion is possible.  It
-must leave *identical state* (table, scale, heap raw/scale/min-slot,
-promotion count) and return *identical margins* to the unfused chain,
-bit for bit, on every backend.
+``AWMSketch.fit_batch`` hashes a whole batch once, keeps a batch-wide
+active-set slot cache patched per promotion, and replays Algorithm 2
+over views of the pre-hashed rows.  It must leave *identical state*
+(table, scale, heap raw/scale/min-slot, promotion count) and return
+the *identical margins* per-example :meth:`~AWMSketch.update` calls
+produce, bit for bit, on every backend.
 
-The host may lack a compiler, so the fused branch is forced via the
-``_force_fused_example`` test hook and fuzzed against a default twin
-running the unfused reference chain on the same stream.
+``tests/test_batched_equivalence.py`` covers AWM with the logistic loss
+only; the scenarios here add every kernel loss, depth 1 and 3, l1 > 0
+and forced renormalization folds of both lazy scales.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import pytest
 from repro import kernels
 from repro.core.awm_sketch import AWMSketch
 from repro.core.sketch_table import _RENORM_THRESHOLD
-from repro.data.batch import iter_batches
+from repro.data.batch import SparseBatch, iter_batches
 from repro.data.synthetic import SyntheticStream
 from repro.learning.losses import (
     HingeLoss,
@@ -47,99 +46,99 @@ def _stream(seed=0, d=600):
     )
 
 
-def _step(model, ex):
-    """One Algorithm 2 step through ``_update_example`` (the layer the
-    fused gate lives in); returns the pre-update margin."""
-    return model._update_example(ex.indices, ex.values, ex.label)
-
-
 def _twins(backend, *, depth=1, lambda_=1e-3, loss=None, heap_capacity=24,
-           width=128, l1=0.0):
+           width=128, l1=0.0, seed=3):
+    """A per-example reference model and a batched twin."""
     kwargs = dict(
         width=width, depth=depth, heap_capacity=heap_capacity,
-        lambda_=lambda_, seed=3, backend=backend,
+        lambda_=lambda_, seed=seed, backend=backend,
         loss=loss or LogisticLoss(),
     )
     ref = AWMSketch(**kwargs)
-    fused = AWMSketch(**kwargs)
-    fused._force_fused_example = True
+    batched = AWMSketch(**kwargs)
     if l1:
         ref.l1 = l1
-        fused.l1 = l1
-    return ref, fused
+        batched.l1 = l1
+    return ref, batched
 
 
-def _assert_state_equal(ref: AWMSketch, fused: AWMSketch, context: str):
-    assert fused._scale == ref._scale, context
-    np.testing.assert_array_equal(fused.table, ref.table, err_msg=context)
-    assert fused.heap._scale == ref.heap._scale, context
-    assert fused.heap._n == ref.heap._n, context
+def _replay(ref, batched, examples, batch_size=32):
+    """Drive ``ref`` per example and ``batched`` through ``fit_batch``;
+    the returned pre-update margins must agree example by example."""
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start:start + batch_size]
+        expected = []
+        for ex in chunk:
+            expected.append(ref.predict_margin(ex))
+            ref.update(ex)
+        got = batched.fit_batch(SparseBatch.from_examples(chunk))
+        assert got.tolist() == expected, f"margins diverged in [{start}:]"
+
+
+def _assert_state_equal(ref: AWMSketch, batched: AWMSketch, context: str):
+    assert batched._scale == ref._scale, context
+    np.testing.assert_array_equal(batched.table, ref.table, err_msg=context)
+    assert batched.heap._scale == ref.heap._scale, context
+    assert batched.heap._n == ref.heap._n, context
     n = ref.heap._n
     np.testing.assert_array_equal(
-        fused.heap._keys[:n], ref.heap._keys[:n], err_msg=context
+        batched.heap._keys[:n], ref.heap._keys[:n], err_msg=context
     )
     np.testing.assert_array_equal(
-        fused.heap._raw[:n], ref.heap._raw[:n], err_msg=context
+        batched.heap._raw[:n], ref.heap._raw[:n], err_msg=context
     )
-    assert fused.n_promotions == ref.n_promotions, context
-    assert fused.t == ref.t, context
-    assert fused.heap.min_priority() == ref.heap.min_priority(), context
+    assert batched.n_promotions == ref.n_promotions, context
+    assert batched.t == ref.t, context
+    assert batched.heap.min_priority() == ref.heap.min_priority(), context
 
 
 class TestFusedAwmUpdate:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("lambda_", [0.0, 1e-3])
     def test_stream_state_identical(self, backend, lambda_):
-        """Per-example updates through a long stream: margins + state."""
-        ref, fused = _twins(backend, lambda_=lambda_)
-        for i, ex in enumerate(_stream().examples(400)):
-            m_ref = _step(ref, ex)
-            m_fused = _step(fused, ex)
-            assert m_fused == m_ref, f"margin diverged at example {i}"
-        _assert_state_equal(ref, fused, "end of stream")
-        # The fuzz must actually exercise both kernel outcomes: full
-        # heap with promotions (handled=0 fallback) and plain scatters.
+        """A long stream: margins + state."""
+        ref, batched = _twins(backend, lambda_=lambda_)
+        _replay(ref, batched, _stream().materialize(400))
+        _assert_state_equal(ref, batched, "end of stream")
+        # The stream must exercise both outcomes of the full-store
+        # screen: promotions past the warmup and plain tail scatters.
         assert ref.heap.is_full
         assert ref.n_promotions > ref.heap.capacity
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("depth", [1, 3])
     def test_depths(self, backend, depth):
-        """depth=1 (sign-flip recovery) and odd depth>1 (median loop)."""
-        ref, fused = _twins(backend, depth=depth)
-        for ex in _stream(seed=7).examples(250):
-            assert _step(fused, ex) == _step(ref, ex)
-        _assert_state_equal(ref, fused, f"depth={depth}")
+        """depth=1 (sign-flip recovery) and odd depth>1 (median sort)."""
+        ref, batched = _twins(backend, depth=depth)
+        _replay(ref, batched, _stream(seed=7).materialize(250))
+        _assert_state_equal(ref, batched, f"depth={depth}")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize("loss", LOSSES, ids=lambda l: type(l).__name__)
     def test_losses(self, backend, loss):
-        """Every kernel-representable loss through the inlined dloss."""
-        ref, fused = _twins(backend, loss=loss)
-        for ex in _stream(seed=11).examples(200):
-            assert _step(fused, ex) == _step(ref, ex)
-        _assert_state_equal(ref, fused, type(loss).__name__)
+        """Every kernel-representable loss."""
+        ref, batched = _twins(backend, loss=loss)
+        _replay(ref, batched, _stream(seed=11).materialize(200))
+        _assert_state_equal(ref, batched, type(loss).__name__)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_l1_soft_threshold(self, backend):
-        """l1 > 0 exercises the kernel's inlined soft-threshold (including
-        the sign conventions of the exactly-zero branch)."""
-        ref, fused = _twins(backend, l1=5e-3)
-        for ex in _stream(seed=13).examples(250):
-            assert _step(fused, ex) == _step(ref, ex)
-        _assert_state_equal(ref, fused, "l1 soft-threshold")
+        """l1 > 0 soft-thresholds the tail recovery queries that decide
+        promotions (including the sign conventions of the exactly-zero
+        branch)."""
+        ref, batched = _twins(backend, l1=5e-3)
+        _replay(ref, batched, _stream(seed=13).materialize(250))
+        _assert_state_equal(ref, batched, "l1 soft-threshold")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_renormalization_fold(self, backend):
         """Decay underflow: both scales pushed just above the renorm
-        threshold so the kernel's in-call folds (table fold + re-gather,
-        heap prefix fold) fire and must match the unfused chain's."""
-        ref, fused = _twins(backend, lambda_=1e-2)
-        stream = _stream(seed=17)
-        examples = stream.materialize(300)
-        for ex in examples[:150]:
-            assert _step(fused, ex) == _step(ref, ex)
-        for model in (ref, fused):
+        threshold so the folds (table fold + re-gather, heap prefix
+        fold) fire inside batches and must match per-example updates."""
+        ref, batched = _twins(backend, lambda_=1e-2)
+        examples = _stream(seed=17).materialize(300)
+        _replay(ref, batched, examples[:150])
+        for model in (ref, batched):
             # Nudge the lazy scales to the brink; the *same* nudge on
             # both twins keeps them comparable while guaranteeing the
             # next decayed update crosses _RENORM_THRESHOLD.
@@ -151,88 +150,33 @@ class TestFusedAwmUpdate:
                 )
                 model.heap._scale = _RENORM_THRESHOLD * 1.0000001
                 model.heap._min_slot = -1
-        assert ref._scale == fused._scale
+        assert ref._scale == batched._scale
         folds = 0
-        for ex in examples[150:]:
-            before = ref._scale
-            assert _step(fused, ex) == _step(ref, ex)
-            if ref._scale > before:
-                folds += 1
+        for start in range(150, 300, 30):
+            chunk = examples[start:start + 30]
+            expected = []
+            for ex in chunk:
+                expected.append(ref.predict_margin(ex))
+                before = ref._scale
+                ref.update(ex)
+                if ref._scale > before:
+                    folds += 1
+            got = batched.fit_batch(SparseBatch.from_examples(chunk))
+            assert got.tolist() == expected
         assert folds > 0, "renormalization never triggered"
-        _assert_state_equal(ref, fused, "after renorm folds")
+        _assert_state_equal(ref, batched, "after renorm folds")
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_batch_path_state_identical(self, backend):
-        """fit_batch (shared batch hashing + slot caches) through the
-        fused gate matches per-example reference updates."""
-        ref, fused = _twins(backend, heap_capacity=16)
+        """Batch-size independence: one stream through batches of 1, 7
+        and 64 (1-sparse scalar path, slot-cache rebuilds across many
+        promotions) ends in the state of per-example updates."""
         examples = _stream(seed=23).materialize(256)
+        ref, _ = _twins(backend, heap_capacity=16)
         for ex in examples:
-            _step(ref, ex)
-        for batch in iter_batches(examples, 64):
-            fused.fit_batch(batch)
-        _assert_state_equal(ref, fused, "fit_batch vs per-example")
-
-    def test_python_vs_numpy_kernel_direct(self):
-        """Kernel-level fuzz: the restricted-Python loop twin and the
-        NumPy composition must agree bit for bit on random states,
-        including l1 > 0 and no-member examples."""
-        from repro.kernels import _loops, numpy_backend
-
-        rng = np.random.default_rng(5)
-        depth, width = 3, 64
-        for trial in range(200):
-            n_heap = 8
-            tail_n = int(rng.integers(1, 10))
-            n_member = int(rng.integers(0, 4))
-            table = rng.standard_normal(depth * width)
-            flat_tail = np.concatenate([
-                rng.integers(j * width, (j + 1) * width, size=(1, tail_n))
-                for j in range(depth)
-            ]).astype(np.int64)
-            signs = rng.choice([-1.0, 1.0], size=(depth, tail_n))
-            tail_val = rng.standard_normal(tail_n)
-            heap_raw = rng.standard_normal(n_heap)
-            heap_raw[np.abs(heap_raw) < 1e-3] = 1.0  # keep threshold sane
-            slots = rng.choice(n_heap, size=n_member, replace=False).astype(np.intp)
-            xvals = rng.standard_normal(n_member)
-            args = dict(
-                y=int(rng.choice([-1, 1])),
-                eta=0.1,
-                decay=float(rng.choice([1.0, 0.999, _RENORM_THRESHOLD])),
-                lam=float(rng.choice([0.0, 1e-3])),
-                scale=float(rng.choice([1.0, 0.5, _RENORM_THRESHOLD * 1.01])),
-                heap_scale=float(rng.choice([1.0, 0.25])),
-                sqrt_s=float(np.sqrt(depth)),
-                loss_id=int(rng.integers(0, 4)),
-                loss_param=0.7,
-                l1=float(rng.choice([0.0, 0.05])),
-            )
-            if args["lam"] == 0.0:
-                args["decay"] = 1.0
-            states = []
-            for mod in (numpy_backend, _loops):
-                t = table.copy()
-                h = heap_raw.copy()
-                gathered = np.empty((tail_n, depth))
-                cand = np.empty(tail_n)
-                out = mod.fused_awm_update(
-                    t, flat_tail, signs, tail_val, h, slots, xvals,
-                    n_heap, args["y"], args["eta"], args["decay"],
-                    args["lam"], args["scale"], args["heap_scale"],
-                    args["sqrt_s"], args["loss_id"], args["loss_param"],
-                    args["l1"], gathered, cand,
-                )
-                states.append((t, h, cand.copy(), tuple(float(v) for v in out)))
-            (t0, h0, c0, o0), (t1, h1, c1, o1) = states
-            assert o0 == o1, f"trial {trial}: outputs {o0} != {o1}"
-            np.testing.assert_array_equal(t0, t1, err_msg=f"trial {trial}")
-            np.testing.assert_array_equal(h0, h1, err_msg=f"trial {trial}")
-            np.testing.assert_array_equal(c0, c1, err_msg=f"trial {trial}")
-
-    def test_kernel_registered(self):
-        """The kernel is part of the backend contract (both backends
-        expose it through the name-driven registry)."""
-        assert "fused_awm_update" in kernels.KERNEL_NAMES
-        for name in ("numpy", "python"):
-            assert hasattr(kernels.get_backend(name), "fused_awm_update")
+            ref.update(ex)
+        for batch_size in (1, 7, 64):
+            _, batched = _twins(backend, heap_capacity=16)
+            for batch in iter_batches(examples, batch_size):
+                batched.fit_batch(batch)
+            _assert_state_equal(ref, batched, f"batch_size={batch_size}")

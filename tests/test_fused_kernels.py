@@ -2,10 +2,11 @@
 
 The fused kernels (``fused_update`` / ``fused_predict`` /
 ``fused_query``) must be *bit-identical* to the unfused chain of
-primitive kernels they collapse — per backend, at the kernel level and
-through the models (tables, heap state, margins, predictions, recovery
-queries), including workspace reuse across many batches and pickle
-round-trips that drop the workspace.
+primitive kernels they collapse — per backend, at the kernel level —
+and every model's fused ``fit_batch`` to its per-example ``update``
+(tables, heap state, margins, predictions, recovery queries), including
+workspace reuse across many batches and pickle round-trips that drop
+the workspace.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ class TestKernelLevel:
 
 
 # ----------------------------------------------------------------------
-# Model-level: fused vs unfused vs sequential, per backend
+# Model-level: fused fit_batch vs sequential per-example update, per
+# backend
 # ----------------------------------------------------------------------
 def _stream(seed, n=320, d=2_500):
     return SyntheticStream(
@@ -339,20 +341,20 @@ FACTORIES = {
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 class TestModelLevel:
     def test_fused_equals_unfused_and_sequential(self, backend, name):
+        """Fused ``fit_batch`` against the unfused reference: one
+        per-example ``update`` at a time (margins read just before each
+        update)."""
         examples = _stream(seed=11)
         factory = FACTORIES[name]
         fused = factory(backend)
-        assert fused.use_fused  # the default ships on
-        unfused = factory(backend)
-        unfused.use_fused = False
         m_fused = _drive(fused, examples)
-        m_unfused = _drive(unfused, examples)
-        _assert_same(fused, unfused)
-        assert np.array_equal(m_fused, m_unfused)
         sequential = factory(backend)
+        m_sequential = []
         for ex in examples:
+            m_sequential.append(sequential.predict_margin(ex))
             sequential.update(ex)
         _assert_same(fused, sequential)
+        assert m_fused.tolist() == m_sequential
 
     def test_serving_paths_bit_identical(self, backend, name):
         examples = _stream(seed=23, n=200)
@@ -415,79 +417,95 @@ class TestWorkspaceLifecycle:
         model.fit_batch(batches[1])
         assert np.array_equal(first, snapshot)
 
-    def test_custom_loss_falls_back_to_unfused(self):
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_custom_loss_runs_numpy_fused_kernel(self, backend):
+        """A loss without a kernel id trains through the NumPy
+        reference ``fused_update`` on its own ``dloss``, whatever the
+        model's backend, and stays bit-identical to per-example
+        updates (heap maintenance included)."""
         class WeirdLoss(LogisticLoss):
             kernel_id = None
 
+        loss = WeirdLoss()
+        route, loss_id = kernels.fused_update_for(
+            kernels.get_backend(backend), loss
+        )
+        assert route is kernels.get_backend("numpy").fused_update
+        assert loss_id is loss
+
         examples = _stream(seed=43, n=120)
-        model = WMSketch(256, 2, seed=0, heap_capacity=8,
-                         loss=WeirdLoss())
-        sequential = WMSketch(256, 2, seed=0, heap_capacity=8,
-                              loss=WeirdLoss())
-        for b in iter_batches(examples, 40):
-            model.fit_batch(b)
-        for ex in examples:
-            sequential.update(ex)
-        _assert_same(model, sequential)
+        for make in (
+            lambda: WMSketch(256, 2, seed=0, heap_capacity=8,
+                             lambda_=1e-3, loss=WeirdLoss(), backend=backend),
+            lambda: FeatureHashing(256, seed=0, lambda_=1e-3,
+                                   loss=WeirdLoss(), backend=backend),
+        ):
+            model, sequential = make(), make()
+            for b in iter_batches(examples, 40):
+                model.fit_batch(b)
+            for ex in examples:
+                sequential.update(ex)
+            _assert_same(model, sequential)
 
     def test_trailing_empty_examples_keep_bounds_exact(self, rng):
         # Regression: a batch *ending* in empty examples used to clip
         # the reduceat segment starts, splitting the last non-empty
         # example's bound segment — its final feature's row magnitude
         # dropped out of the estimate bound, so the fused maintain pass
-        # could skip an admission the unfused path makes.  Construct
+        # could skip an admission per-example updates make.  Construct
         # that exactly: a full heap holding a small entry, a trailing-
         # empty batch whose last (= only) example carries its heavy
         # feature in the *last* position.
         from repro.data.sparse import SparseExample
 
-        def build(use_fused):
+        def build():
             model = WMSketch(4, 1, seed=0, heap_capacity=1, lambda_=0.0)
-            model.use_fused = use_fused
             model.table[0] = [5.0, 0.01, 0.0, 0.0]
             model.heap.push(10_000, 0.5)  # full at a small priority
             return model
 
-        fam = build(True).family
+        fam = build().family
         light = next(i for i in range(1_000)
                      if fam.bucket_sign_one(i, 0)[0] == 1)
         heavy = next(i for i in range(1_000)
                      if fam.bucket_sign_one(i, 0)[0] == 0)
-        batch = SparseBatch.from_examples([
+        examples = [
             SparseExample(
                 np.array([light, heavy], dtype=np.int64),
                 np.array([1.0, 1.0]), 1,
             ),
             SparseExample(np.empty(0, dtype=np.int64), np.empty(0), 1),
-        ])
-        fused, unfused = build(True), build(False)
-        fused.fit_batch(batch)
-        unfused.fit_batch(batch)
-        _assert_same(fused, unfused)
+        ]
+        fused, sequential = build(), build()
+        fused.fit_batch(SparseBatch.from_examples(examples))
+        for ex in examples:
+            sequential.update(ex)
+        _assert_same(fused, sequential)
         # The heavy feature's |estimate| (~5) beats the 0.5 threshold,
         # so the admission must actually have happened.
         assert any(k == heavy for k, _ in fused.heap.items())
 
     def test_awm_fused_query_branch_applies_l1(self):
-        # Regression: the compiled-backend fused_query branch used to
-        # skip the l1 soft-threshold _estimate_from_rows applies, so
-        # promotion decisions diverged whenever l1 > 0.  The private
-        # _force_fused_query hook exercises the branch without numba.
+        # Regression: a batched AWM recovery query once skipped the l1
+        # soft-threshold _estimate_from_rows applies, so promotion
+        # decisions diverged from per-example updates whenever l1 > 0.
+        # Depth 3 takes the threshold through the median-of-3 recovery.
         examples = _stream(seed=53, n=250)
 
-        def make(force):
+        def make():
             model = AWMSketch(128, depth=3, heap_capacity=16, seed=1,
                               lambda_=1e-4)
             model.l1 = 5e-3
-            model._force_fused_query = force
             return model
 
-        forced, plain = make(True), make(False)
+        batched, sequential = make(), make()
         for batch in iter_batches(examples, 50):
-            forced.fit_batch(batch)
-            plain.fit_batch(batch)
-        _assert_same(forced, plain)
-        assert forced.n_promotions == plain.n_promotions
+            batched.fit_batch(batch)
+        for ex in examples:
+            sequential.update(ex)
+        _assert_same(batched, sequential)
+        assert batched.n_promotions == sequential.n_promotions
+        assert batched.n_promotions > batched.heap.capacity
 
     def test_fused_decay_validation_matches_message(self):
         examples = _stream(seed=47, n=8)
@@ -498,18 +516,20 @@ class TestWorkspaceLifecycle:
 
     def test_feature_hashing_rejects_invalid_decay_on_every_path(self):
         # Historically FeatureHashing let eta * lambda >= 1 flip the
-        # model's sign silently; all three paths now raise like the
-        # sketches do (and therefore stay equivalent to each other in
-        # the pathological regime too).
+        # model's sign silently; both paths now raise like the sketches
+        # do (and therefore stay equivalent to each other in the
+        # pathological regime too).  The fused batch raises before any
+        # update.
         examples = _stream(seed=49, n=8)
-        for driver in ("update", "fused", "unfused"):
+        for path in ("update", "fused"):
             model = FeatureHashing(64, lambda_=0.5, learning_rate=4.0)
             with pytest.raises(ValueError, match="decrease eta0"):
-                if driver == "update":
+                if path == "update":
                     model.update(examples[0])
                 else:
-                    model.use_fused = driver == "fused"
                     model.fit_batch(SparseBatch.from_examples(examples))
+            assert model.t == 0
+            assert not model.table.any()
 
 
 # ----------------------------------------------------------------------
