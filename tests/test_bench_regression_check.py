@@ -1,162 +1,176 @@
-"""The CI trend-tracking script's comparison logic (PR 2 satellite)."""
+"""The CI regression gate: gates.json rows applied by one evaluator."""
 
 from __future__ import annotations
 
+import copy
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
-SCRIPT = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / "check_throughput_regression.py"
-)
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "benchmarks" / "check_throughput_regression.py"
 spec = importlib.util.spec_from_file_location("check_regression", SCRIPT)
 check_regression = importlib.util.module_from_spec(spec)
 sys.modules["check_regression"] = check_regression
 spec.loader.exec_module(check_regression)
 
 
-def _doc(speedup, eps=10_000.0):
+def _eval(kind, current, baseline):
+    return check_regression.evaluate(
+        check_regression.GATES[kind], current, baseline
+    )
+
+
+def _bound(kind, path):
+    """The bound of the ``min``/``max`` row gating ``path``."""
+    (bound,) = [
+        row["bound"]
+        for row in check_regression.GATES[kind]["gates"]
+        if row["path"] == path and row["cmp"] in ("min", "max")
+    ]
+    return bound
+
+
+def _row(speedup, eps):
+    return {
+        "speedup": speedup,
+        "speedup_update_only": speedup,
+        "speedup_including_batching": speedup,
+        "per_example_eps": eps,
+        "batched_eps": eps * speedup,
+    }
+
+
+def _doc(speedup=8.0, eps=10_000.0):
+    """A throughput run whose every config clears its floor."""
     return {
         "workload": {"dataset": "x"},
-        "wm_algorithm1": {
-            "speedup": speedup,
-            "per_example_eps": eps,
-            "batched_eps": eps * speedup,
-        },
+        "wm_algorithm1": _row(speedup, eps),
+        "wm_with_heap": _row(4.0, eps),
+        "awm": _row(2.4, eps),
+        "awm_half_budget": _row(2.6, eps),
+        "hash": _row(7.0, eps),
     }
 
 
 class TestThroughputGate:
     def test_identical_runs_pass(self):
-        doc = _doc(5.0)
-        assert check_regression.check_throughput(doc, doc, 0.30, False) == []
+        doc = _doc()
+        assert _eval("throughput", doc, doc) == []
 
     def test_ratio_regression_beyond_threshold_fails(self):
-        failures = check_regression.check_throughput(
-            _doc(3.0), _doc(5.0), 0.30, False
-        )
-        assert any("speedup" in f for f in failures)
+        # 8.0 -> 5.4 is -32.5%: past the trend, still above the floor.
+        failures = _eval("throughput", _doc(5.4), _doc(8.0))
+        assert any("wm_algorithm1.speedup:" in f and "threshold" in f
+                   for f in failures)
+        assert not any("floor" in f for f in failures)
 
     def test_ratio_regression_within_threshold_passes(self):
-        assert (
-            check_regression.check_throughput(
-                _doc(4.0), _doc(5.0), 0.30, False
-            )
-            == []
-        )
+        assert _eval("throughput", _doc(6.0), _doc(8.0)) == []
 
-    def test_absolute_eps_not_gated_by_default(self):
-        # 10x slower machine, same speedup ratio: must pass.
-        assert (
-            check_regression.check_throughput(
-                _doc(5.0, eps=1_000.0), _doc(5.0, eps=10_000.0), 0.30, False
-            )
-            == []
-        )
-
-    def test_strict_eps_gates_absolute_throughput(self):
-        failures = check_regression.check_throughput(
-            _doc(5.0, eps=1_000.0), _doc(5.0, eps=10_000.0), 0.30, True
-        )
-        assert any("per_example_eps" in f for f in failures)
+    def test_absolute_eps_not_gated_by_default(self, capsys):
+        # 10x slower machine, same speedup ratios: must pass.
+        assert _eval(
+            "throughput", _doc(eps=1_000.0), _doc(eps=10_000.0)
+        ) == []
+        assert "info-only" in capsys.readouterr().out
 
     def test_schema_less_baseline_cannot_pass_vacuously(self):
         empty = {"workload": {}}
-        failures = check_regression.check_throughput(
-            empty, empty, 0.30, False
-        )
-        assert any("no gated metrics" in f for f in failures)
+        failures = _eval("throughput", empty, empty)
+        assert any("cannot vouch" in f for f in failures)
 
     def test_missing_config_fails(self):
-        current = _doc(5.0)
-        baseline = _doc(5.0)
-        baseline["awm"] = {"speedup": 1.4}
-        failures = check_regression.check_throughput(
-            current, baseline, 0.30, False
-        )
-        assert any("missing" in f for f in failures)
+        current = _doc()
+        del current["hash"]
+        failures = _eval("throughput", current, _doc())
+        assert any(f.startswith("hash.speedup: missing") for f in failures)
 
 
 class TestBackendSections:
-    """The kernel-backend dimension added by PR 4."""
+    """Optional rows: the compiled kernel-backend sections."""
 
     def _doc_with_numba(self, top_speedup, numba_speedup):
         doc = _doc(top_speedup)
         doc["backends"] = {
-            "numba": {"wm_algorithm1": {"speedup": numba_speedup}}
+            "numba": {"wm_algorithm1": _row(numba_speedup, 50_000.0)}
         }
         return doc
 
     def test_compiled_rows_gated_when_both_sides_have_them(self):
-        failures = check_regression.check_throughput(
-            self._doc_with_numba(5.0, 2.0),
-            self._doc_with_numba(5.0, 5.0),
-            0.30,
-            False,
+        failures = _eval(
+            "throughput",
+            self._doc_with_numba(8.0, 2.0),
+            self._doc_with_numba(8.0, 5.0),
         )
-        assert any("numba:wm_algorithm1.speedup" in f for f in failures)
+        for key in ("speedup", "speedup_update_only",
+                    "speedup_including_batching"):
+            assert any(
+                f.startswith(f"backends.numba.wm_algorithm1.{key}:")
+                for f in failures
+            )
 
     def test_compiled_rows_matching_pass(self):
-        doc = self._doc_with_numba(5.0, 5.0)
-        assert check_regression.check_throughput(doc, doc, 0.30, False) == []
+        doc = self._doc_with_numba(8.0, 5.0)
+        assert _eval("throughput", doc, doc) == []
 
     def test_numba_unavailable_skips_with_notice_not_failure(self, capsys):
-        baseline = self._doc_with_numba(5.0, 5.0)
-        current = _doc(5.0)  # no "backends" section: numba-less host
-        failures = check_regression.check_throughput(
-            current, baseline, 0.30, False
-        )
-        assert failures == []
+        baseline = self._doc_with_numba(8.0, 5.0)
+        current = _doc(8.0)  # no "backends" section: numba-less host
+        assert _eval("throughput", current, baseline) == []
         out = capsys.readouterr().out
         assert "NOTICE" in out and "numba" in out
+        assert out.count("NOTICE") == 1
 
     def test_backendless_baseline_ignores_current_extras(self):
         # A fresh run on a numba host vs an older numpy-only baseline:
         # the extra compiled rows are simply not compared.
-        baseline = _doc(5.0)
-        current = self._doc_with_numba(5.0, 9.0)
-        assert (
-            check_regression.check_throughput(
-                current, baseline, 0.30, False
-            )
-            == []
-        )
+        assert _eval(
+            "throughput", self._doc_with_numba(8.0, 9.0), _doc(8.0)
+        ) == []
+
+    def test_backend_present_but_config_missing_fails(self):
+        baseline = self._doc_with_numba(8.0, 5.0)
+        baseline["backends"]["numba"]["awm"] = _row(2.4, 20_000.0)
+        current = self._doc_with_numba(8.0, 5.0)
+        failures = _eval("throughput", current, baseline)
+        assert any(f.startswith("backends.numba.awm.speedup: missing")
+                   for f in failures)
 
 
 class TestSpeedupFloors:
-    """Absolute floors on the store-carrying configs (PR 3 satellite):
-    the vectorized top-K layer's batched advantage is gated even when
-    the committed baseline itself is refreshed."""
+    """Absolute floors on the current throughput run: they bind even
+    when the committed baseline itself is refreshed."""
 
-    def _floors(self):
-        return {"wm_with_heap": 2.5, "awm": 1.6}
-
-    def test_current_above_floors_passes(self):
-        doc = _doc(5.0)
-        doc["wm_with_heap"] = {"speedup": 4.0}
-        doc["awm"] = {"speedup": 2.4}
-        assert check_regression.check_floors(doc, self._floors()) == []
+    def test_current_above_floors_passes(self, capsys):
+        doc = _doc()
+        assert _eval("throughput", doc, doc) == []
+        assert "wm_with_heap.speedup" in capsys.readouterr().out
 
     def test_below_floor_fails_even_if_baseline_agrees(self):
-        doc = _doc(5.0)
-        doc["wm_with_heap"] = {"speedup": 1.9}  # back to pre-store era
-        doc["awm"] = {"speedup": 2.4}
-        failures = check_regression.check_floors(doc, self._floors())
-        assert any("wm_with_heap" in f and "floor" in f for f in failures)
-        # The relative gate is happy with an equally-bad baseline; the
+        doc = _doc()
+        doc["wm_with_heap"]["speedup"] = 1.9  # back to pre-store era
+        failures = _eval("throughput", doc, doc)
+        # The trend rows are happy with an equally-bad baseline; the
         # floor is what refuses the ratchet slipping.
-        assert check_regression.check_throughput(doc, doc, 0.30, False) == []
+        assert failures
+        assert all("wm_with_heap.speedup" in f and "floor" in f
+                   for f in failures)
 
     def test_missing_floor_config_fails(self):
-        failures = check_regression.check_floors(_doc(5.0), self._floors())
-        assert any("missing" in f for f in failures)
+        doc = _doc()
+        del doc["awm_half_budget"]
+        failures = _eval("throughput", doc, doc)
+        assert any(f.startswith("awm_half_budget.speedup: missing")
+                   for f in failures)
 
     def test_default_floors_cover_the_store_configs(self):
-        assert {"wm_with_heap", "awm", "awm_half_budget"} <= set(
-            check_regression.SPEEDUP_FLOORS
-        )
+        for config in ("wm_with_heap", "awm", "awm_half_budget"):
+            assert _bound("throughput", f"{config}.speedup") > 1.0
 
 
 class TestMainEntry:
@@ -172,21 +186,19 @@ class TestMainEntry:
         assert "ERROR" in capsys.readouterr().err
 
     def test_workload_size_mismatch_warns(self, tmp_path, capsys):
-        import json
-
         current = tmp_path / "current.json"
         baseline = tmp_path / "baseline.json"
-        doc = _doc(5.0)
+        doc = _doc()
         doc["workload"] = {"n_examples": 2000}
         current.write_text(json.dumps(doc))
         doc["workload"] = {"n_examples": 4000}
         baseline.write_text(json.dumps(doc))
         code = check_regression.main([
             "--current", str(current), "--baseline", str(baseline),
-            "--no-floors",  # minimal doc lacks the floor-gated configs
         ])
         assert code == 0
-        assert "workload sizes differ" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "WARNING: workload.n_examples" in out
 
     def test_missing_baseline_is_a_hard_error(self, tmp_path, capsys):
         current = tmp_path / "current.json"
@@ -198,32 +210,39 @@ class TestMainEntry:
         assert code == 2
         assert "ERROR" in capsys.readouterr().err
 
+    def test_regression_exits_one(self, tmp_path, capsys):
+        current = tmp_path / "current.json"
+        current.write_text(json.dumps(_doc(1.0)))
+        code = check_regression.main(["--current", str(current)])
+        assert code == 1
+        assert "REGRESSION" in capsys.readouterr().err
+
 
 class TestParallelGate:
     def test_monotone_and_stable_passes(self):
         doc = {"monotone_1_to_4_workers": True, "speedup_4_workers": 2.8}
-        assert check_regression.check_parallel(doc, doc, 0.30) == []
+        assert _eval("parallel", doc, doc) == []
 
     def test_non_monotone_current_warns_but_passes(self, capsys):
         # Fresh-run monotonicity is timing-sensitive on shared runners:
         # warn, gate only the machine-independent speedup ratio.
         bad = {"monotone_1_to_4_workers": False, "speedup_4_workers": 2.8}
         good = {"monotone_1_to_4_workers": True, "speedup_4_workers": 2.8}
-        assert check_regression.check_parallel(bad, good, 0.30) == []
+        assert _eval("parallel", bad, good) == []
         assert "WARNING" in capsys.readouterr().out
 
     def test_speedup_collapse_fails(self):
         curr = {"monotone_1_to_4_workers": True, "speedup_4_workers": 1.1}
         base = {"monotone_1_to_4_workers": True, "speedup_4_workers": 2.8}
-        assert check_regression.check_parallel(curr, base, 0.30)
+        assert _eval("parallel", curr, base)
 
     def test_schema_less_parallel_baseline_fails(self):
         curr = {"monotone_1_to_4_workers": True, "speedup_4_workers": 2.8}
-        assert check_regression.check_parallel(curr, {}, 0.30)
+        assert _eval("parallel", curr, {})
 
 
 # ----------------------------------------------------------------------
-# Query-serving gate (--kind query, PR 5)
+# Query-serving gate (--kind query)
 # ----------------------------------------------------------------------
 def _query_doc(predict=5.0, query=100.0, hot=2.0):
     row = {
@@ -244,28 +263,26 @@ def _query_doc(predict=5.0, query=100.0, hot=2.0):
 class TestQueryGate:
     def test_identical_runs_pass(self):
         doc = _query_doc()
-        assert check_regression.check_query(doc, doc, 0.30) == []
+        assert _eval("query", doc, doc) == []
 
     def test_ratio_regression_fails(self):
-        failures = check_regression.check_query(
-            _query_doc(predict=2.0, query=100.0), _query_doc(), 0.30
+        failures = _eval(
+            "query", _query_doc(predict=2.0, query=100.0), _query_doc()
         )
-        assert any("predict_speedup" in f for f in failures)
+        assert any("predict_speedup" in f and "threshold" in f
+                   for f in failures)
 
     def test_floor_violation_fails_even_with_agreeing_baseline(self):
         low = _query_doc(predict=1.1, query=5.0)
-        failures = check_regression.check_query(low, low, 0.30)
+        failures = _eval("query", low, low)
         assert any("floor" in f for f in failures)
 
     def test_empty_current_cannot_pass_vacuously(self):
-        failures = check_regression.check_query(
-            {"workload": {}}, _query_doc(), 0.30
-        )
-        assert failures
+        assert _eval("query", {"workload": {}}, _query_doc())
 
 
 # ----------------------------------------------------------------------
-# Allocation gate (--kind alloc, PR 5)
+# Allocation gate (--kind alloc)
 # ----------------------------------------------------------------------
 def _alloc_doc(headline=81_416, heap=111_536):
     return {
@@ -278,43 +295,41 @@ def _alloc_doc(headline=81_416, heap=111_536):
 class TestAllocGate:
     def test_identical_runs_pass(self):
         doc = _alloc_doc()
-        assert check_regression.check_alloc(doc, doc, 0.30) == []
+        assert _eval("alloc", doc, doc) == []
 
     def test_peak_above_ceiling_fails(self):
         # Inflate the baseline too, so only the ceiling can fire.
         high = _alloc_doc(headline=200_000)
-        failures = check_regression.check_alloc(high, high, 0.30)
+        failures = _eval("alloc", high, high)
         assert any("wm_algorithm1" in f and "ceiling" in f
                    for f in failures)
 
     def test_peak_growth_past_threshold_fails(self):
         # 81,416 -> 110,000 B is +35%: under the ceiling, past the trend.
-        failures = check_regression.check_alloc(
-            _alloc_doc(headline=110_000), _alloc_doc(), 0.30
-        )
+        failures = _eval("alloc", _alloc_doc(headline=110_000), _alloc_doc())
         assert any("regressed" in f for f in failures)
 
     def test_peak_shrink_passes(self):
-        assert check_regression.check_alloc(
-            _alloc_doc(headline=40_000, heap=50_000), _alloc_doc(), 0.30
+        assert _eval(
+            "alloc", _alloc_doc(headline=40_000, heap=50_000), _alloc_doc()
         ) == []
 
     def test_ceilings_no_looser_than_the_ratio_gate(self):
         # The former floor + 30% trend gate allowed the committed fused
         # peaks (81,320 B and 111,360 B) to grow to peak / 0.7.
-        ceilings = check_regression.ALLOC_CEILINGS
-        assert ceilings["wm_algorithm1"] <= 81_320 / 0.7
-        assert ceilings["wm_with_heap"] <= 111_360 / 0.7
+        assert _bound("alloc", "wm_algorithm1.peak_transient_bytes") <= (
+            81_320 / 0.7
+        )
+        assert _bound("alloc", "wm_with_heap.peak_transient_bytes") <= (
+            111_360 / 0.7
+        )
 
     def test_missing_config_fails(self):
-        failures = check_regression.check_alloc(
-            {"workload": {}}, _alloc_doc(), 0.30
-        )
-        assert failures
+        assert _eval("alloc", {"workload": {}}, _alloc_doc())
 
 
 # ----------------------------------------------------------------------
-# Serving-coalescer gate (--kind serving, PR 6)
+# Serving-coalescer gate (--kind serving)
 # ----------------------------------------------------------------------
 def _serving_doc(wm=5.0, awm=1.7, n_requests=2000):
     return {
@@ -328,43 +343,34 @@ def _serving_doc(wm=5.0, awm=1.7, n_requests=2000):
 class TestServingGate:
     def test_identical_runs_pass(self):
         doc = _serving_doc()
-        assert check_regression.check_serving(doc, doc, 0.30) == []
+        assert _eval("serving", doc, doc) == []
 
     def test_ratio_regression_fails(self):
-        # 5.0 -> 3.2 stays above the 3x floor but is a >30% collapse.
-        failures = check_regression.check_serving(
-            _serving_doc(wm=3.2), _serving_doc(wm=5.0), 0.30
-        )
+        # 8.0 -> 3.2 stays above the 3x floor but is a >50% collapse.
+        failures = _eval("serving", _serving_doc(wm=3.2), _serving_doc(wm=8.0))
         assert any("wm.coalescing_speedup" in f for f in failures)
 
     def test_floor_violation_fails_even_with_agreeing_baseline(self):
         low = _serving_doc(wm=2.5)
-        failures = check_regression.check_serving(low, low, 0.30)
+        failures = _eval("serving", low, low)
         assert any("floor" in f for f in failures)
 
     def test_awm_anti_collapse_floor(self):
         low = _serving_doc(awm=0.5)
-        failures = check_regression.check_serving(low, low, 0.30)
+        failures = _eval("serving", low, low)
         assert any("awm_half_budget" in f for f in failures)
 
     def test_empty_current_cannot_pass_vacuously(self):
-        failures = check_regression.check_serving(
-            {"workload": {}}, _serving_doc(), 0.30
-        )
-        assert failures
+        assert _eval("serving", {"workload": {}}, _serving_doc())
 
     def test_request_count_mismatch_warns(self, capsys):
-        assert (
-            check_regression.check_serving(
-                _serving_doc(n_requests=400), _serving_doc(), 0.50
-            )
-            == []
-        )
-        assert "n_requests" in capsys.readouterr().out
+        assert _eval(
+            "serving", _serving_doc(n_requests=400), _serving_doc()
+        ) == []
+        assert "WARNING: workload.n_requests" in capsys.readouterr().out
 
     def test_default_floors_cover_the_headline_config(self):
-        assert "wm" in check_regression.SERVING_FLOORS
-        assert check_regression.SERVING_FLOORS["wm"]["coalescing_speedup"] >= 3.0
+        assert _bound("serving", "wm.coalescing_speedup") >= 3.0
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +428,7 @@ class TestRecordBackendArtifacts:
 
 
 # ----------------------------------------------------------------------
-# Parameter-server delta-sync gate (--kind ps, PR 9)
+# Parameter-server delta-sync gate (--kind ps)
 # ----------------------------------------------------------------------
 def _ps_doc(ratio=45.0, speedup=1.5, monotone=True):
     return {
@@ -444,47 +450,39 @@ def _ps_doc(ratio=45.0, speedup=1.5, monotone=True):
 class TestPSGate:
     def test_identical_runs_pass(self):
         doc = _ps_doc()
-        assert check_regression.check_ps(doc, doc, 0.30) == []
+        assert _eval("ps", doc, doc) == []
 
     def test_ratio_below_floor_fails_even_with_agreeing_baseline(self):
         # The byte ratio is machine-independent: the floor binds on the
         # fresh run regardless of what baseline is committed.
         low = _ps_doc(ratio=3.0)
-        failures = check_regression.check_ps(low, low, 0.30)
+        failures = _eval("ps", low, low)
         assert any("floor" in f for f in failures)
 
     def test_ratio_collapse_vs_baseline_fails(self):
-        failures = check_regression.check_ps(
-            _ps_doc(ratio=10.0), _ps_doc(ratio=45.0), 0.30
-        )
+        failures = _eval("ps", _ps_doc(ratio=10.0), _ps_doc(ratio=45.0))
         assert any("delta_bytes_ratio" in f for f in failures)
 
     def test_non_monotone_current_warns_but_passes(self, capsys):
         bad = _ps_doc(monotone=False)
         good = _ps_doc(monotone=True)
-        assert check_regression.check_ps(bad, good, 0.30) == []
+        assert _eval("ps", bad, good) == []
         assert "WARNING" in capsys.readouterr().out
 
     def test_speedup_collapse_fails(self):
-        failures = check_regression.check_ps(
-            _ps_doc(speedup=0.9), _ps_doc(speedup=1.5), 0.30
-        )
+        failures = _eval("ps", _ps_doc(speedup=0.8), _ps_doc(speedup=1.5))
         assert any("speedup_4_workers" in f for f in failures)
 
     def test_empty_current_cannot_pass_vacuously(self):
-        failures = check_regression.check_ps(
-            {"workload": {}}, _ps_doc(), 0.30
-        )
-        assert failures
+        assert _eval("ps", {"workload": {}}, _ps_doc())
 
     def test_schema_less_ps_baseline_fails(self):
-        curr = _ps_doc()
-        failures = check_regression.check_ps(curr, {"workload": {}}, 0.30)
+        failures = _eval("ps", _ps_doc(), {"workload": {}})
         assert any("baseline" in f for f in failures)
 
 
 # ----------------------------------------------------------------------
-# Resilience gate (--kind resilience, PR 10)
+# Resilience gate (--kind resilience)
 # ----------------------------------------------------------------------
 def _resilience_doc(goodput=1.2, recovered=1.0):
     return {
@@ -494,17 +492,13 @@ def _resilience_doc(goodput=1.2, recovered=1.0):
             "offered_rps": 18_000.0,
             "goodput_rps": 9_000.0 * goodput,
             "goodput_ratio": goodput,
-            "shed_overload": 150,
-            "shed_deadline": 3,
+            "shed_fraction": 0.08,
             "admitted_p99_ms": 25.0,
         },
         "recovery": {
             "bit_identical": recovered == 1.0,
             "recovery_bit_identical": recovered,
             "recovery_seconds": 0.0008,
-            "crashes": 1,
-            "recoveries": 1,
-            "faults_fired": 7,
         },
         "goodput_ratio": goodput,
         "recovery_bit_identical": recovered,
@@ -514,32 +508,31 @@ def _resilience_doc(goodput=1.2, recovered=1.0):
 class TestResilienceGate:
     def test_identical_runs_pass(self):
         doc = _resilience_doc()
-        assert check_regression.check_resilience(doc, doc, 0.30) == []
+        assert _eval("resilience", doc, doc) == []
 
     def test_goodput_below_floor_fails_even_with_agreeing_baseline(self):
         low = _resilience_doc(goodput=0.6)
-        failures = check_regression.check_resilience(low, low, 0.30)
+        failures = _eval("resilience", low, low)
         assert any("goodput_ratio" in f and "floor" in f for f in failures)
 
     def test_goodput_collapse_vs_baseline_fails_above_the_floor(self):
-        # 1.6 -> 0.9 stays above the 0.8 floor but is a >30% collapse.
-        failures = check_regression.check_resilience(
-            _resilience_doc(goodput=0.9), _resilience_doc(goodput=1.6), 0.30
+        # 2.0 -> 0.9 stays above the 0.8 floor but is a >50% collapse.
+        failures = _eval(
+            "resilience",
+            _resilience_doc(goodput=0.9), _resilience_doc(goodput=2.0),
         )
-        assert any("goodput_ratio" in f for f in failures)
+        assert any("goodput_ratio" in f and "threshold" in f
+                   for f in failures)
 
     def test_diverged_recovery_is_never_noise(self):
         # bit-identity is binary: a 0.0 fails regardless of baseline.
         bad = _resilience_doc(recovered=0.0)
-        failures = check_regression.check_resilience(bad, bad, 0.99)
-        assert any("recovery_bit_identical" in f for f in failures)
-        assert any("diverged" in f for f in failures)
+        failures = _eval("resilience", bad, bad)
+        assert any("recovery_bit_identical" in f and "diverged" in f
+                   for f in failures)
 
     def test_empty_current_cannot_pass_vacuously(self):
-        failures = check_regression.check_resilience(
-            {"workload": {}}, _resilience_doc(), 0.30
-        )
-        assert failures
+        assert _eval("resilience", {"workload": {}}, _resilience_doc())
 
 
 def _telemetry_doc(wm=0.995, heap=0.99):
@@ -553,38 +546,88 @@ def _telemetry_doc(wm=0.995, heap=0.99):
 class TestTelemetryGate:
     def test_identical_runs_pass(self):
         doc = _telemetry_doc()
-        assert check_regression.check_telemetry(doc, doc, 0.30) == []
+        assert _eval("telemetry", doc, doc) == []
 
     def test_overhead_beyond_contract_fails(self):
-        failures = check_regression.check_telemetry(
-            _telemetry_doc(wm=0.90), _telemetry_doc(), 0.30
-        )
-        assert any("telemetry_overhead_ratio" in f for f in failures)
-        assert any("0.97" in f for f in failures)
+        failures = _eval("telemetry", _telemetry_doc(wm=0.90), _telemetry_doc())
+        assert any("telemetry_overhead_ratio" in f and "0.97" in f
+                   for f in failures)
 
     def test_ratio_at_the_floor_passes(self):
         doc = _telemetry_doc(wm=0.97, heap=0.97)
-        assert check_regression.check_telemetry(doc, doc, 0.30) == []
+        assert _eval("telemetry", doc, doc) == []
 
     def test_empty_current_cannot_pass_vacuously(self):
-        failures = check_regression.check_telemetry(
-            {"workload": {}}, _telemetry_doc(), 0.30
-        )
-        assert failures
+        assert _eval("telemetry", {"workload": {}}, _telemetry_doc())
 
     def test_missing_floor_config_fails(self):
         doc = _telemetry_doc()
         del doc["wm_with_heap"]
-        failures = check_regression.check_telemetry(doc, doc, 0.30)
+        failures = _eval("telemetry", doc, doc)
         assert any("wm_with_heap" in f for f in failures)
+
+
+class TestFailClosed:
+    """A gated value the evaluator cannot read as a finite number fails
+    by name; it never passes (NaN compares False both ways) or crashes."""
+
+    def test_nan_throughput_floor_fails(self):
+        current = _doc()
+        for name in ("wm_algorithm1", "wm_with_heap", "awm",
+                     "awm_half_budget", "hash"):
+            current[name]["speedup"] = math.nan
+        failures = _eval("throughput", current, _doc())
+        for name in ("wm_algorithm1", "wm_with_heap", "awm",
+                     "awm_half_budget", "hash"):
+            assert any(f.startswith(f"{name}.speedup: nan is not a finite")
+                       for f in failures)
+
+    def test_nan_resilience_recovery_fails(self):
+        doc = _resilience_doc(recovered=math.nan)
+        failures = _eval("resilience", doc, doc)
+        assert any(f.startswith("recovery_bit_identical: nan is not")
+                   for f in failures)
+
+    def test_string_value_fails(self):
+        current = _doc()
+        current["wm_algorithm1"]["speedup"] = "fast"
+        failures = _eval("throughput", current, _doc())
+        assert any(f.startswith("wm_algorithm1.speedup: 'fast' is not")
+                   for f in failures)
+
+    def test_nan_baseline_fails(self):
+        baseline = _ps_doc()
+        baseline["speedup_4_workers"] = math.nan
+        failures = _eval("ps", _ps_doc(), baseline)
+        assert any(f.startswith("speedup_4_workers: baseline nan")
+                   for f in failures)
+
+    @pytest.mark.parametrize("kind", check_regression.KINDS)
+    def test_nan_at_every_gated_path_fails(self, kind):
+        baseline = json.loads((ROOT / f"BENCH_{kind}.json").read_text())
+        current = copy.deepcopy(baseline)
+        gated = set()
+        for row in check_regression.GATES[kind]["gates"]:
+            if row["cmp"] in ("min", "max", "trend"):
+                parts = tuple(row["path"].split("."))
+                for path, _ in check_regression._match(current, parts):
+                    gated.add(path)
+        for *parents, key in gated:
+            node = current
+            for part in parents:
+                node = node[part]
+            node[key] = math.nan
+        failures = _eval(kind, current, baseline)
+        assert gated
+        for path in gated:
+            assert any(f.startswith(".".join(path) + ": nan")
+                       for f in failures)
 
 
 class TestGatesPolicyFile:
     """benchmarks/gates.json is THE gate policy; the CLI must agree."""
 
     def _policy(self):
-        import json
-
         return json.loads(check_regression.GATES_PATH.read_text())
 
     def test_policy_file_exists_and_parses(self):
@@ -603,42 +646,41 @@ class TestGatesPolicyFile:
             # missing file then returns 1, not an argparse error).
             assert check_regression.main(rc_args) == 1
 
-    def test_module_constants_are_views_of_the_policy(self):
-        policy = self._policy()
-        assert check_regression.SPEEDUP_FLOORS == (
-            policy["throughput"]["floors"]
-        )
-        assert check_regression.QUERY_FLOORS == policy["query"]["floors"]
-        assert check_regression.ALLOC_CEILINGS == (
-            policy["alloc"]["ceilings"]
-        )
-        assert check_regression.SERVING_FLOORS == (
-            policy["serving"]["floors"]
-        )
-        assert check_regression.TELEMETRY_FLOORS == (
-            policy["telemetry"]["floors"]
-        )
-        assert check_regression.PUBLISH_FLOORS == (
-            policy["publish"]["floors"]
-        )
-        assert check_regression.PS_FLOORS == policy["ps"]["floors"]
-        assert check_regression.RESILIENCE_FLOORS == (
-            policy["resilience"]["floors"]
-        )
-
     def test_resilience_recovery_floor_is_binary(self):
-        policy = self._policy()
-        floors = policy["resilience"]["floors"]
-        assert floors["recovery_bit_identical"] == 1.0
+        assert _bound("resilience", "recovery_bit_identical") == 1.0
 
     def test_telemetry_floor_is_the_three_percent_contract(self):
-        policy = self._policy()
-        for row in policy["telemetry"]["floors"].values():
-            assert row["telemetry_overhead_ratio"] == 0.97
+        floors = [
+            row["bound"]
+            for row in check_regression.GATES["telemetry"]["gates"]
+            if row["cmp"] == "min"
+        ]
+        assert floors == [0.97, 0.97]
 
     def test_unknown_kind_is_rejected(self):
-        import pytest
-
         with pytest.raises(SystemExit) as exc:
             check_regression.main(["--current", "x", "--kind", "nonsense"])
         assert exc.value.code == 2
+
+    def test_unknown_cmp_is_rejected(self):
+        section = {"threshold": 0.3, "gates": [
+            {"path": "x", "cmp": "atleast", "why": "typo"}
+        ]}
+        with pytest.raises(ValueError):
+            check_regression.evaluate(section, {"x": 1}, {"x": 1})
+
+    @pytest.mark.parametrize("kind", check_regression.KINDS)
+    def test_committed_baseline_passes_its_own_gates(self, kind):
+        baseline = ROOT / f"BENCH_{kind}.json"
+        assert check_regression.main(
+            ["--kind", kind, "--current", str(baseline)]
+        ) == 0
+        # A mistyped row must not gate nothing.  Optional rows gate
+        # sections a baseline may lack (TestBackendSections covers them).
+        doc = json.loads(baseline.read_text())
+        for row in check_regression.GATES[kind]["gates"]:
+            if row["cmp"] in ("min", "max", "trend") and not row.get(
+                "optional"
+            ):
+                parts = tuple(row["path"].split("."))
+                assert list(check_regression._match(doc, parts)), row["path"]
