@@ -66,12 +66,17 @@ class AWMSketch(ScaledSketchTable):
     backend:
         Kernel-backend override for every hot loop (``None`` = follow
         the process default; see :mod:`repro.kernels`); the 1-sparse
-        scalar fast path stays pure Python on every backend.
-    scalar_fast_path:
-        Use the all-scalar update for 1-sparse inputs (identical results
-        to the batch path, ~10x faster for the Section 8 applications).
-        Exposed so tests can verify the equivalence.
+        scalar path stays pure Python on every backend.
+
+    Notes
+    -----
+    1-sparse examples (the Section 8 applications) always take an
+    all-scalar update, bit-identical to the vector path and ~10x faster.
     """
+
+    #: 1-sparse examples take the scalar update, which hashes its one
+    #: key itself — batch front-ends need not pre-hash 1-sparse batches.
+    scalar_one_sparse = True
 
     def __init__(
         self,
@@ -84,7 +89,6 @@ class AWMSketch(ScaledSketchTable):
         seed: int = 0,
         hash_kind: str = "tabulation",
         backend: str | None = None,
-        scalar_fast_path: bool = True,
     ):
         if heap_capacity < 1:
             raise ValueError(f"heap_capacity must be >= 1, got {heap_capacity}")
@@ -99,7 +103,6 @@ class AWMSketch(ScaledSketchTable):
             backend=backend,
         )
         self.heap = TopKStore(heap_capacity, backend=backend)
-        self.scalar_fast_path = scalar_fast_path
         # Diagnostics: promotion/eviction churn (exposed for ablations).
         self.n_promotions = 0
 
@@ -112,29 +115,50 @@ class AWMSketch(ScaledSketchTable):
         buckets, signs = self.family.all_rows(indices)
         return self._margin_from_rows(buckets, signs, values)
 
-    def _sketch_add(self, index: int, delta: float) -> None:
-        """Add ``delta`` to the sketched weight of a single feature."""
-        key = np.array([index], dtype=np.int64)
+    def _rows_one(self, index: int) -> list[tuple[int, float]]:
+        """One feature's per-row (bucket, sign) pairs, hashed scalar."""
+        return [
+            self.family.bucket_sign_one(index, j) for j in range(self.depth)
+        ]
+
+    def _estimate_one(self, rows: list[tuple[int, float]]) -> float:
+        """Scalar median-of-rows estimate of the feature hashed to
+        ``rows``.
+
+        The arithmetic of the ``median_estimate`` kernel: the middle of
+        the sorted ``sign * cell`` products (the mean of the middle two
+        at even depth), *then* times ``sqrt(s) * alpha`` — so the value
+        is bit-identical to :meth:`_sketch_estimate` at every depth.
+        """
+        table = self.table
+        vals = sorted(
+            sign * float(table[j, bucket])
+            for j, (bucket, sign) in enumerate(rows)
+        )
+        mid = len(vals) // 2
+        med = vals[mid] if len(vals) % 2 else 0.5 * (vals[mid - 1] + vals[mid])
+        return self._sqrt_s * self._scale * med
+
+    def _sketch_add(self, rows: list[tuple[int, float]], delta: float) -> None:
+        """Add ``delta`` to the sketched weight of the feature hashed to
+        ``rows``."""
         coeff = delta / (self._sqrt_s * self._scale)
-        for j in range(self.depth):
-            bucket = self.family.buckets(key, j)[0]
-            sign = self.family.signs(key, j)[0]
+        table = self.table
+        for j, (bucket, sign) in enumerate(rows):
             self._mark_dirty_bucket(j, int(bucket))
-            self.table[j, bucket] += coeff * sign
+            table[j, bucket] += coeff * sign
+
+    def _fold_evictee(self, key: int, weight: float) -> None:
+        """Retire ``key``'s exact active-set ``weight`` into the sketch:
+        credit ``weight - Query(key)``, so the sketch's estimate of the
+        feature is brought up to date (Algorithm 2's eviction step).
+        The key is hashed once for both the query and the scatter."""
+        rows = self._rows_one(key)
+        self._sketch_add(rows, weight - self._estimate_one(rows))
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def _split(self, x: SparseExample) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean mask of x's features that are in the active set."""
-        in_heap = self._membership(x.indices)
-        return in_heap, ~in_heap
-
-    def _membership(self, indices: np.ndarray) -> np.ndarray:
-        """Boolean mask of which indices are currently in the active set
-        (one vectorized probe against the store's sorted-key snapshot)."""
-        return self.heap.contains_many(indices)
-
     def predict_margin(self, x: SparseExample) -> float:
         slots = self.heap.member_slots(x.indices)
         in_heap = slots >= 0
@@ -224,39 +248,25 @@ class AWMSketch(ScaledSketchTable):
         return out
 
     # ------------------------------------------------------------------
-    # Scalar fast path (1-sparse inputs: the Section 8 applications)
+    # Scalar path (1-sparse inputs: the Section 8 applications)
     # ------------------------------------------------------------------
-    def _estimate_one(self, index: int) -> float:
-        """Scalar sketch estimate (median over rows) for one feature."""
-        vals = []
-        factor = self._sqrt_s * self._scale
-        for j in range(self.depth):
-            bucket, sign = self.family.bucket_sign_one(index, j)
-            vals.append(factor * sign * float(self.table[j, bucket]))
-        vals.sort()
-        mid = len(vals) // 2
-        if len(vals) % 2:
-            return vals[mid]
-        return 0.5 * (vals[mid - 1] + vals[mid])
-
     def _update_one(
         self,
         idx: int,
         val: float,
         y: int,
-        promo_log: list | None = None,
+        cache: BatchSlotCache | None = None,
     ) -> float:
         """Algorithm 2 specialized to nnz(x) = 1, all-scalar arithmetic.
 
         Returns the pre-update margin (for progressive validation).
-        ``promo_log``, when given, receives an ``(admitted, evicted)``
-        pair per promotion so the batched kernel can patch its
-        membership cache instead of rebuilding it.
+        ``cache``, when given, is the batched kernel's membership cache,
+        patched on a promotion instead of rebuilt.
         """
-        in_heap = idx in self.heap
-        rows: list[tuple[int, float]] = []
+        heap = self.heap
+        in_heap = idx in heap
         if in_heap:
-            tau = self.heap.value(idx) * val
+            tau = heap.value(idx) * val
         else:
             # The margin uses the *linear* form z^T R x (sum over rows /
             # sqrt(s)), exactly like the batch path — the median is only
@@ -265,9 +275,7 @@ class AWMSketch(ScaledSketchTable):
             # _margin_from_products` (table-value times sign*value
             # product, fsum, then scale/sqrt(s)) so the returned margin
             # is bit-identical to :meth:`predict_margin`.
-            rows = [
-                self.family.bucket_sign_one(idx, j) for j in range(self.depth)
-            ]
+            rows = self._rows_one(idx)
             total = math.fsum(
                 float(self.table[j, bucket]) * (sign * val)
                 for j, (bucket, sign) in enumerate(rows)
@@ -278,59 +286,31 @@ class AWMSketch(ScaledSketchTable):
         eta = self.schedule(self.t)
         if self.lambda_ > 0.0:
             decay = self._decay_factor(eta)
-            self.heap.decay(decay)
+            heap.decay(decay)
             self._decay_scale(decay)
         step = eta * y * g
 
         if in_heap:
-            self.heap.add_delta(idx, -step * val)
+            heap.add_delta(idx, -step * val)
         else:
-            # Query *after* the decay (Algorithm 2 decays z first); the
-            # stored rows make this a median over |depth| scalars.
-            factor = self._sqrt_s * self._scale
-            vals = sorted(
-                factor * sign * float(self.table[j, bucket])
-                for j, (bucket, sign) in enumerate(rows)
-            )
-            mid = len(vals) // 2
-            if len(vals) % 2:
-                query = vals[mid]
+            # Query *after* the decay (Algorithm 2 decays z first).
+            evicted = heap.push(idx, self._estimate_one(rows) - step * val)
+            if evicted is not None and evicted[0] == idx:
+                self._sketch_add(rows, -step * val)
             else:
-                query = 0.5 * (vals[mid - 1] + vals[mid])
-            candidate = query - step * val
-            if not self.heap.is_full:
-                self.heap.push(idx, candidate)
                 self.n_promotions += 1
-                if promo_log is not None:
-                    promo_log.append((idx, None))
-            else:
-                min_key, min_weight = self.heap.min_entry()
-                if abs(candidate) > abs(min_weight):
-                    self.heap.replace_min(idx, candidate)
-                    self.n_promotions += 1
-                    if promo_log is not None:
-                        promo_log.append((idx, min_key))
-                    self._sketch_add_one(
-                        min_key, min_weight - self._estimate_one(min_key)
-                    )
-                else:
-                    self._sketch_add_one(idx, -step * val)
+                if cache is not None:
+                    cache.apply(idx, None if evicted is None else evicted[0])
+                if evicted is not None:
+                    self._fold_evictee(*evicted)
         self.t += 1
         return tau
-
-    def _sketch_add_one(self, index: int, delta: float) -> None:
-        """Scalar version of :meth:`_sketch_add`."""
-        coeff = delta / (self._sqrt_s * self._scale)
-        for j in range(self.depth):
-            bucket, sign = self.family.bucket_sign_one(index, j)
-            self._mark_dirty_bucket(j, int(bucket))
-            self.table[j, bucket] += coeff * sign
 
     # ------------------------------------------------------------------
     # Learning (Algorithm 2)
     # ------------------------------------------------------------------
     def update(self, x: SparseExample) -> None:
-        if self.scalar_fast_path and x.indices.size == 1:
+        if x.indices.size == 1:
             self._update_one(int(x.indices[0]), float(x.values[0]), x.label)
             return
         self._update_example(x.indices, x.values, x.label)
@@ -343,7 +323,7 @@ class AWMSketch(ScaledSketchTable):
         buckets: np.ndarray | None = None,
         signs: np.ndarray | None = None,
         slots: np.ndarray | None = None,
-        promo_log: list | None = None,
+        cache: BatchSlotCache | None = None,
     ) -> float:
         """One Algorithm 2 step; returns the pre-update margin.
 
@@ -353,18 +333,18 @@ class AWMSketch(ScaledSketchTable):
         re-hashed.  Hash functions are pure, so the two paths see the
         same rows and produce bit-identical state.  ``slots`` may carry
         the active-set slot per index (-1 = tail), as maintained by the
-        batched kernel's :class:`~repro.heap.topk.BatchSlotCache`;
-        ``promo_log`` receives ``(admitted, evicted)`` pairs so that
-        cache can be patched instead of rebuilt.
+        batched kernel's :class:`~repro.heap.topk.BatchSlotCache`
+        (``cache``), which each promotion patches instead of rebuilding.
 
         The hot structures are vectorized against the store: one
         membership probe for the whole example, one :meth:`add_many`
         for the active-set gradient step, one table gather shared by the
-        margin and the tail queries, and a tail-promotion screen that
-        admits candidates sequentially only when some candidate beats
-        the current admission threshold (the threshold is non-decreasing
-        while the store is full, so screened-out candidates are exactly
-        the ones the sequential loop would reject).
+        margin and the tail queries, and one
+        :meth:`~repro.heap.topk.TopKStore.offer` of the tail candidates
+        (the store's single admission rule).  Evictees are folded back
+        after the offer, in event order — bit-identical to folding each
+        at its eviction, since folds read only the table and the offer
+        does not touch it.
         """
         heap = self.heap
         kb = self.kernels
@@ -446,109 +426,40 @@ class AWMSketch(ScaledSketchTable):
             queries = self._estimate_from_rows(
                 tail_buckets, tail_signs, gathered_t=taken_t
             )
-            candidates = queries - step * tail_val
-
-            if not heap.is_full:
-                # Warmup (free slots remain): plain sequential admits;
-                # the store may fill mid-example.
-                stay = []
-                for pos, (idx, c) in enumerate(
-                    zip(tail_idx.tolist(), candidates.tolist())
-                ):
-                    if not heap.is_full:
-                        heap.push(idx, c)
-                        self.n_promotions += 1
-                        if promo_log is not None:
-                            promo_log.append((idx, None))
-                        continue
-                    min_key, min_weight = heap.min_entry()
-                    if abs(c) > abs(min_weight):
-                        self._promote(idx, c, min_key, min_weight, promo_log)
-                    else:
-                        stay.append(pos)
-                stay = np.asarray(stay, dtype=np.intp)
-            else:
-                # Full store: one screen kernel against the current
-                # admission threshold; only candidates that beat it take
-                # the sequential path (each re-checks the live minimum,
-                # which can only have risen).
-                live = kb.screen_abs_gt(candidates, heap.min_priority())
-                if live.size == 0:
-                    stay = None  # everything stays; no masks needed
-                else:
-                    stay_mask = np.ones(tail_n, dtype=bool)
-                    for pos in live.tolist():
-                        idx = int(tail_idx[pos])
-                        c = float(candidates[pos])
-                        min_key, min_weight = heap.min_entry()
-                        if abs(c) > abs(min_weight):
-                            self._promote(
-                                idx, c, min_key, min_weight, promo_log
-                            )
-                            stay_mask[pos] = False
-                    stay = np.flatnonzero(stay_mask)
-            if stay is None or stay.size == tail_n:
+            events = heap.offer(tail_idx, queries - step * tail_val)
+            if not events:
                 # Common case — nothing promoted: scatter the whole tail
                 # without re-indexing (the flat gather is reused too).
                 coeff = (-step / (self._sqrt_s * self._scale)) * tail_val
                 self._scatter_add(
                     tail_buckets, coeff * tail_signs, flat_buckets=flat_tail
                 )
-            elif stay.size:
-                # One scatter for all non-promoted features (Algorithm 2
-                # applies these independently; batching only reorders
-                # within a single example).
-                coeff = (-step / (self._sqrt_s * self._scale)) * tail_val[stay]
-                self._scatter_add(
-                    tail_buckets[:, stay],
-                    coeff * tail_signs[:, stay],
-                    flat_buckets=flat_tail[:, stay],
-                )
+            else:
+                self.n_promotions += len(events)
+                stay_mask = np.ones(tail_n, dtype=bool)
+                for pos, key, evicted in events:
+                    stay_mask[pos] = False
+                    if cache is not None:
+                        cache.apply(
+                            key, None if evicted is None else evicted[0]
+                        )
+                    if evicted is not None:
+                        self._fold_evictee(*evicted)
+                stay = np.flatnonzero(stay_mask)
+                if stay.size:
+                    # One scatter for all non-promoted features
+                    # (Algorithm 2 applies these independently; batching
+                    # only reorders within a single example).
+                    coeff = (
+                        -step / (self._sqrt_s * self._scale)
+                    ) * tail_val[stay]
+                    self._scatter_add(
+                        tail_buckets[:, stay],
+                        coeff * tail_signs[:, stay],
+                        flat_buckets=flat_tail[:, stay],
+                    )
         self.t += 1
         return tau
-
-    def _promote(
-        self,
-        idx: int,
-        candidate: float,
-        min_key: int,
-        min_weight: float,
-        promo_log: list | None,
-    ) -> None:
-        """Promote ``idx`` over the current minimum: evict, fold the
-        evictee's exact weight back into the sketch (credit the
-        difference between its true weight and the sketch's current
-        estimate), and log the membership event.
-
-        The evictee is hashed *once*: its per-row (bucket, sign) pairs
-        serve both the retiring estimate and the fold-in scatter (the
-        old path hashed it twice, once per helper — at one promotion
-        every couple of examples that was the single hottest line of the
-        batched kernel).
-        """
-        self.heap.replace_min(idx, candidate)
-        self.n_promotions += 1
-        if promo_log is not None:
-            promo_log.append((idx, min_key))
-        rows = [
-            self.family.bucket_sign_one(min_key, j)
-            for j in range(self.depth)
-        ]
-        table = self.table
-        factor = self._sqrt_s * self._scale
-        vals = sorted(
-            factor * sign * float(table[j, bucket])
-            for j, (bucket, sign) in enumerate(rows)
-        )
-        mid = len(vals) // 2
-        if len(vals) % 2:
-            evict_query = vals[mid]
-        else:
-            evict_query = 0.5 * (vals[mid - 1] + vals[mid])
-        coeff = (min_weight - evict_query) / factor
-        for j, (bucket, sign) in enumerate(rows):
-            self._mark_dirty_bucket(j, int(bucket))
-            table[j, bucket] += coeff * sign
 
     def fit_batch(
         self,
@@ -560,8 +471,8 @@ class AWMSketch(ScaledSketchTable):
         All of the batch's indices are hashed in one deduplicated
         vectorized call; each example then runs the ordinary sequential
         Algorithm 2 step over views of the precomputed rows (1-sparse
-        examples keep using the scalar fast path, exactly as
-        :meth:`update` would).  Returns the pre-update margins.
+        examples take the scalar path, exactly as :meth:`update` does).
+        Returns the pre-update margins.
 
         ``rows`` may carry precomputed ``(buckets, signs)`` for
         ``batch.indices`` from the pipelined prefetch hasher; hashes are
@@ -572,7 +483,7 @@ class AWMSketch(ScaledSketchTable):
         if n == 0:
             return margins
         # Hash lazily: all-1-sparse batches (the Section 8 application
-        # workloads) go entirely through the scalar fast path, which
+        # workloads) go entirely through the scalar path, which
         # hashes per key itself — pre-hashing the batch would be pure
         # waste.  The first multi-sparse example triggers the one
         # vectorized dedup hash for the whole batch.
@@ -588,14 +499,12 @@ class AWMSketch(ScaledSketchTable):
         # patched per promotion (see BatchSlotCache); built lazily with
         # the hashes, for the same all-1-sparse reason.
         slot_cache: BatchSlotCache | None = None
-        promo_log: list = []
         for i in range(n):
             lo, hi = indptr[i], indptr[i + 1]
             y = labels[i]
-            if self.scalar_fast_path and hi - lo == 1:
+            if hi - lo == 1:
                 margins[i] = self._update_one(
-                    int(indices[lo]), float(values[lo]), y,
-                    promo_log=promo_log,
+                    int(indices[lo]), float(values[lo]), y, cache=slot_cache
                 )
             else:
                 if buckets is None:
@@ -620,13 +529,8 @@ class AWMSketch(ScaledSketchTable):
                     buckets=buckets[:, lo:hi],
                     signs=signs[:, lo:hi],
                     slots=slot_cache.slice(lo, hi),
-                    promo_log=promo_log,
+                    cache=slot_cache,
                 )
-            if promo_log:
-                if slot_cache is not None:
-                    for admitted, evicted in promo_log:
-                        slot_cache.apply(admitted, evicted)
-                promo_log.clear()
         return margins
 
     # ------------------------------------------------------------------
@@ -643,11 +547,7 @@ class AWMSketch(ScaledSketchTable):
         """
         keys = sorted(k for k, _ in self.heap.items())
         for key in keys:
-            weight = self.heap.value(key)
-            query = float(
-                self._sketch_estimate(np.array([key], dtype=np.int64))[0]
-            )
-            self._sketch_add(key, weight - query)
+            self._fold_evictee(key, self.heap.value(key))
         self.heap.clear()
         return keys
 

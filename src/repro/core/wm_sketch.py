@@ -174,7 +174,7 @@ class WMSketch(ScaledSketchTable):
         coeff = -eta * y * g / (self._sqrt_s * self._scale)
         self._scatter_add(buckets, coeff * sign_values)
         self.t += 1
-        if self.heap is not None:
+        if self.heap is not None and x.indices.size:
             self._maintain_heap(x.indices, buckets, signs)
 
     def fit_batch(
@@ -323,152 +323,65 @@ class WMSketch(ScaledSketchTable):
         est_arena = ws.array("est", nnz)
         raw_med: np.ndarray | None = None
         slot_cache = BatchSlotCache(heap, indices, ws=ws)
-        promo_log: list = []
         indptr = batch.indptr.tolist()
         sqrt_s = self._sqrt_s
         depth_one = self.depth == 1
-        lo = indptr[0]
+        l1 = self.l1
         for i in range(n):
-            hi = indptr[i + 1]
+            lo, hi = indptr[i], indptr[i + 1]
             if hi == lo:
                 continue
             if slot_cache.stale:
                 slot_cache = BatchSlotCache(
                     heap, indices, reuse=slot_cache, ws=ws
                 )
+            slots = slot_cache.slice(lo, hi)
             scale = float(scales[i])
             factor = scale if depth_one else sqrt_s * scale
+            if heap.is_full and slots.max() < 0:
+                # No member to refresh: skip the estimates when even
+                # the bound cannot beat the threshold.
+                bound = factor * float(raw_bounds[i])
+                if l1 > 0.0:
+                    bound = max(bound - l1, 0.0)
+                if bound <= heap.min_priority():
+                    continue
+                slots = None
+            if raw_med is None:
+                raw_med = self._raw_medians(signs, gathered)
+            est = est_arena[lo:hi]
+            np.multiply(raw_med[lo:hi], factor, out=est)
+            if l1 > 0.0:
+                est = np.sign(est) * np.maximum(np.abs(est) - l1, 0.0)
+            for _, key, evicted in heap.offer(indices[lo:hi], est, slots):
+                slot_cache.apply(
+                    key, None if evicted is None else evicted[0]
+                )
 
-            def estimates_for(lo=lo, hi=hi, factor=factor):
-                nonlocal raw_med
-                if raw_med is None:
-                    # Raw (factor = 1) medians for the whole batch in
-                    # one pass over workspace arenas — the exact value
-                    # selection of the median_estimate kernel (product,
-                    # row sort, middle pick); per-example estimates are
-                    # then the recorded factor times the slice, the
-                    # same floats median_estimate(..., factor) yields.
-                    raw_med = ws.array("med", nnz)
-                    if self.depth == 1:
-                        np.multiply(
-                            signs[0], gathered[:, 0], out=raw_med
-                        )
-                    else:
-                        rows = ws.array("med_rows", (nnz, self.depth))
-                        np.multiply(signs.T, gathered, out=rows)
-                        rows.sort(axis=1)
-                        mid = self.depth // 2
-                        if self.depth % 2:
-                            np.copyto(raw_med, rows[:, mid])
-                        else:
-                            np.add(
-                                rows[:, mid - 1], rows[:, mid],
-                                out=raw_med,
-                            )
-                            raw_med *= 0.5
-                est = est_arena[lo:hi]
-                np.multiply(raw_med[lo:hi], factor, out=est)
-                if self.l1 > 0.0:
-                    est = np.sign(est) * np.maximum(
-                        np.abs(est) - self.l1, 0.0
-                    )
-                return est
-
-            if depth_one:
-                bound = scale * float(raw_bounds[i])
-            else:
-                bound = sqrt_s * scale * float(raw_bounds[i])
-            if self.l1 > 0.0:
-                bound = max(bound - self.l1, 0.0)
-            self._maintain_decide(
-                indices[lo:hi],
-                slot_cache.slice(lo, hi),
-                lambda bound=bound: bound,
-                estimates_for,
-                promo_log,
-            )
-            if promo_log:
-                for admitted, evicted in promo_log:
-                    slot_cache.apply(admitted, evicted)
-                promo_log.clear()
-            lo = hi
-
-    def _maintain_decide(
-        self,
-        indices: np.ndarray,
-        slots: np.ndarray,
-        bound_for,
-        estimates_for,
-        promo_log: list | None,
-    ) -> None:
-        """The admission-decision core shared by the live
-        (:meth:`_maintain_heap`) and recorded
-        (:meth:`_maintain_batch_recorded`) maintain paths.
-
-        ``bound_for()`` / ``estimates_for()`` lazily provide the
-        estimate bound and the per-feature estimates — from the live
-        table in per-example :meth:`update`, from the fused kernel's
-        recording in :meth:`fit_batch` — so the decision structure
-        exists exactly once and the two paths cannot drift apart.
-        ``promo_log``, when given, receives an ``(admitted, evicted)``
-        pair per admission so the batch's slot cache can be patched.
+    def _raw_medians(
+        self, signs: np.ndarray, gathered: np.ndarray
+    ) -> np.ndarray:
+        """Raw (factor = 1) medians for a whole batch in one pass over
+        workspace arenas — the exact value selection of the
+        ``median_estimate`` kernel (product, row sort, middle pick);
+        an example's estimates are then its recorded factor times its
+        slice, the same floats ``median_estimate(..., factor)`` yields.
         """
-        heap = self.heap
-        screen_k = self.kernels.screen_abs_gt
-        member = slots >= 0
-        any_member = bool(member.any())
-        if heap.is_full:
-            if not any_member:
-                if bound_for() <= heap.min_priority():
-                    return
-                estimates = estimates_for()
-                cand = screen_k(estimates, heap.min_priority())
-            else:
-                estimates = estimates_for()
-                heap.set_many(slots[member], estimates[member])
-                if member.all():
-                    return
-                cand = screen_k(estimates, heap.min_priority())
-                cand = cand[~member[cand]]
-            for pos in cand.tolist():
-                idx = int(indices[pos])
-                w = float(estimates[pos])
-                # Re-check the live threshold: earlier admissions can
-                # only have raised it.  A duplicate feature admitted
-                # earlier in this example updates in place via push.
-                if idx in heap:
-                    heap.push(idx, w)
-                elif abs(w) > heap.min_priority():
-                    evicted = heap.push(idx, w)
-                    if promo_log is not None:
-                        promo_log.append(
-                            (idx, evicted[0] if evicted else None)
-                        )
+        ws = self._ws
+        raw_med = ws.array("med", gathered.shape[0])
+        if self.depth == 1:
+            np.multiply(signs[0], gathered[:, 0], out=raw_med)
+            return raw_med
+        rows = ws.array("med_rows", gathered.shape)
+        np.multiply(signs.T, gathered, out=rows)
+        rows.sort(axis=1)
+        mid = self.depth // 2
+        if self.depth % 2:
+            np.copyto(raw_med, rows[:, mid])
         else:
-            estimates = estimates_for()
-            # Free slots remain: sequential admits (the heap can fill
-            # mid-example, after which the threshold rule applies).
-            push = heap.push
-            minp = None
-            for idx, w in zip(indices.tolist(), estimates.tolist()):
-                if idx in heap:
-                    push(idx, w)
-                    minp = None
-                elif not heap.is_full:
-                    push(idx, w)
-                    minp = None
-                    if promo_log is not None:
-                        promo_log.append((idx, None))
-                else:
-                    if minp is None:
-                        minp = heap.min_priority()
-                    if abs(w) > minp:
-                        evicted = push(idx, w)
-                        minp = None
-                        if promo_log is not None:
-                            promo_log.append(
-                                (idx, evicted[0] if evicted else None)
-                            )
+            np.add(rows[:, mid - 1], rows[:, mid], out=raw_med)
+            raw_med *= 0.5
+        return raw_med
 
     def _maintain_heap(
         self,
@@ -476,34 +389,25 @@ class WMSketch(ScaledSketchTable):
         buckets: np.ndarray,
         signs: np.ndarray,
     ) -> None:
-        """Passive heavy-weight tracking after one example's update.
+        """Passive heavy-weight tracking after one example's update:
+        offer the example's estimates to the heap
+        (:meth:`~repro.heap.topk.TopKStore.offer` refreshes members,
+        screens the rest against the admission threshold and admits
+        the survivors in order).
 
-        Only touches the heap when an estimate could change its contents
-        (member refresh, free slot, or beating the current minimum).
         When the heap is full, none of the example's features are
         members, and even the largest row magnitude cannot beat the
         admission threshold, the median recovery is skipped entirely —
-        no candidate could be admitted, so recomputing estimates would
-        be pure waste.
-
-        The store turned the per-feature probe-and-sift loop into three
-        vectorized strokes: one membership probe, one
-        :meth:`~repro.heap.topk.TopKStore.set_many` refreshing every
-        member's estimate, and one screen selecting the candidates that
-        beat the admission threshold — members are refreshed before
-        candidates are judged (the threshold candidates face is the one
-        left by this example's refreshed members), and the surviving
-        candidates re-check the live minimum in order, exactly as
-        sequential pushes would.  The decision structure itself lives
-        in :meth:`_maintain_decide`, shared with the fused replay.
+        no candidate could be admitted.  :meth:`_maintain_batch_recorded`
+        applies the same short-circuit to the fused kernel's recording.
         """
-        self._maintain_decide(
-            indices,
-            self.heap.member_slots(indices),
-            lambda: self._estimate_bound(buckets),
-            lambda: self._estimate_from_rows(buckets, signs),
-            None,
-        )
+        heap = self.heap
+        slots = heap.member_slots(indices)
+        if heap.is_full and slots.max() < 0:
+            if self._estimate_bound(buckets) <= heap.min_priority():
+                return
+            slots = None
+        heap.offer(indices, self._estimate_from_rows(buckets, signs), slots)
 
     # ------------------------------------------------------------------
     # Merging (distributed / sharded training)

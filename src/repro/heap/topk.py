@@ -25,11 +25,31 @@ default) — but stores everything in contiguous slot arrays:
   (positive scaling preserves the priority ordering); the scale is
   folded into the raw values when it underflows toward zero.
 
-Batched mutation goes through :meth:`push_many`, which pre-screens
-candidates against the current admission threshold (sound because the
-threshold is non-decreasing while the store is full and no member is
-re-pushed) and falls back to sequential admits for the survivors, so
-admission/eviction decisions are exactly those of pushing one at a time.
+The admission rule
+------------------
+The model-side admissions — the WM-Sketch's passive heap and the
+AWM-Sketch's promote-or-fold step — are one rule, implemented once in
+:meth:`TopKStore.offer` (scalar callers use :meth:`push`'s return
+value, which applies the same rule to one candidate):
+
+* **not full on entry:** candidates are pushed sequentially, in order
+  (the store may fill part-way, after which the threshold applies);
+* **full on entry:** members are refreshed first, then the remaining
+  candidates are screened against the admission threshold left by that
+  refresh, and only the survivors are pushed, in order, each
+  re-checking the live threshold.  The screen is exact because the
+  threshold never decreases while a full store only admits by evicting
+  its minimum;
+* **ties reject** (below);
+* **a repeated key updates in place**: a key already stored when its
+  turn comes (a repeat admitted earlier in the same offer) overwrites
+  its value and is never held twice.
+
+:meth:`push_many` (merge re-promotion, the parameter-server delta fold,
+checkpoint loads) keeps the plain sequential contract — every pair is a
+:meth:`push`, in order — and shares ``offer``'s screen once the store
+is full and its candidates are distinct non-members, where the two
+rules coincide.
 
 Admission-tie semantics (pinned)
 --------------------------------
@@ -136,7 +156,7 @@ class TopKStore:
         self._sorted_slots: np.ndarray | None = None
         #: Membership-change counter (see class docstring).
         self.version = 0
-        # Dispatch-free backend binding for the push_many pre-screen
+        # Dispatch-free backend binding for the admission pre-screen
         # (dropped by __getstate__'s whitelist; rebuilt on load).
         self._kb = kernels.BackendHandle(backend)
         #: Debug-only owning-thread witness: the last thread that ran a
@@ -253,15 +273,6 @@ class TopKStore:
 
     def __contains__(self, key: int) -> bool:
         return key in self._pos
-
-    def has_any(self, keys: list[int]) -> bool:
-        """Whether any of ``keys`` is currently stored (scalar-path
-        helper; batched callers use :meth:`contains_many`)."""
-        pos = self._pos
-        for key in keys:
-            if key in pos:
-                return True
-        return False
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._keys[: self._n].tolist())
@@ -519,30 +530,79 @@ class TopKStore:
         # Full: compare priorities on true values; ties reject.
         if self._priority(value) <= self.min_priority():
             return (key, value)
-        ms = self._min()
-        evicted = (int(self._keys[ms]), float(self._raw[ms]) * scale)
-        del self._pos[evicted[0]]
-        self._keys[ms] = key
-        self._raw[ms] = raw
-        self._pos[key] = ms
-        self._min_slot = -1
-        self._membership_changed()
-        if self._promo_log is not None:
-            self._promo_log.append(key)
-        return evicted
+        return self.replace_min(key, value)
+
+    def offer(
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        slots: np.ndarray | None = None,
+    ) -> list[tuple[int, int, tuple[int, float] | None]]:
+        """Offer candidate ``(key, value)`` pairs under the store's one
+        admission rule (see the module docstring).
+
+        ``slots`` holds each key's member slot (``-1`` = not stored),
+        as from :meth:`member_slots` or a :class:`BatchSlotCache`;
+        ``None`` tells the store that no key is a member.  Members are
+        refreshed to their offered values.
+
+        Returns one ``(position, key, evicted)`` event per admission,
+        in order: ``position`` indexes ``keys``, ``evicted`` is the
+        displaced (key, true value) pair, or ``None`` when the key took
+        a free slot.  Refreshes, in-place repeats and rejections raise
+        no event, and each event is exactly one membership change
+        (:attr:`version` advances by one per event).
+        """
+        events: list[tuple[int, int, tuple[int, float] | None]] = []
+        push = self.push
+        if not self.is_full:
+            pos = self._pos
+            for p, (key, value) in enumerate(
+                zip(keys.tolist(), values.tolist())
+            ):
+                if key in pos:
+                    push(key, value)
+                    continue
+                evicted = push(key, value)
+                if evicted is None or evicted[0] != key:
+                    events.append((p, key, evicted))
+            return events
+        if slots is None:
+            cand = self._screen(values)
+        else:
+            member = slots >= 0
+            self.set_many(slots[member], values[member])
+            if member.all():
+                return events
+            cand = self._screen(values)
+            cand = cand[~member[cand]]
+        for p in cand.tolist():
+            key = int(keys[p])
+            evicted = push(key, float(values[p]))
+            # A repeat admitted earlier in this offer updated in place
+            # (None); a candidate the risen threshold rejects comes back.
+            if evicted is not None and evicted[0] != key:
+                events.append((p, key, evicted))
+        return events
+
+    def _screen(self, values: np.ndarray) -> np.ndarray:
+        """Positions of ``values`` whose priority beats the current
+        admission threshold (the full-store pre-screen)."""
+        if self._priority is abs:
+            # The screen kernel computes |value| > threshold directly —
+            # identical decisions to the generic priority path below.
+            return self._kb.get().screen_abs_gt(values, self.min_priority())
+        return np.flatnonzero(self._vprio(values) > self.min_priority())
 
     def push_many(self, keys: np.ndarray, values: np.ndarray) -> int:
         """Push (key, value) pairs sequentially; returns how many ended
         up stored after their own push (members updated in place count).
 
-        Decision-equivalent to calling :meth:`push` in order.  When the
-        store is full and the remaining candidates are distinct
-        non-members, the admission threshold can only rise as pushes
-        proceed, so candidates at or below the *current* threshold are
-        rejected in one vectorized screen and only the survivors take
-        the sequential path.  Mixed batches (members present, duplicate
-        keys) fall back to plain sequential pushes, where the screen
-        would not be sound.
+        Decision-equivalent to calling :meth:`push` in order.  Once the
+        store is full, distinct non-member candidates go through
+        :meth:`offer`'s screen (every admission is then one event);
+        batches with members or duplicate keys take plain sequential
+        pushes, where a member's refresh must keep its place in order.
         """
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -563,22 +623,13 @@ class TopKStore:
         if i >= n:
             return admitted
         rest_keys = keys[i:]
-        rest_values = values[i:]
-        member = self.contains_many(rest_keys)
-        if member.any() or np.unique(rest_keys).size != rest_keys.size:
-            survivors = range(rest_keys.size)
-        elif self._priority is abs:
-            # The screen kernel computes |value| > threshold directly —
-            # identical decisions to the generic priority path below.
-            survivors = self._kb.get().screen_abs_gt(
-                rest_values, self.min_priority()
-            ).tolist()
-        else:
-            prios = self._vprio(rest_values)
-            survivors = np.flatnonzero(prios > self.min_priority()).tolist()
-        for j in survivors:
-            key = key_list[i + j]
-            rejected = self.push(key, value_list[i + j])
+        if (
+            not self.contains_many(rest_keys).any()
+            and np.unique(rest_keys).size == rest_keys.size
+        ):
+            return admitted + len(self.offer(rest_keys, values[i:]))
+        for key, value in zip(key_list[i:], value_list[i:]):
+            rejected = self.push(key, value)
             if rejected is None or rejected[0] != key:
                 admitted += 1
         return admitted
@@ -789,10 +840,10 @@ class BatchSlotCache:
     presorted copy of the batch's index array and patched in place.
 
     Slot handles stay valid because the store never moves a surviving
-    entry's slot (evicting promotions go through
-    :meth:`TopKStore.replace_min`); :attr:`TopKStore.version` guards
-    against unlogged membership changes — on mismatch the caller
-    rebuilds.
+    entry's slot (an evicting admission overwrites the evictee's slot
+    via :meth:`TopKStore.replace_min`); :attr:`TopKStore.version`
+    guards against membership changes no event reported — on mismatch
+    the caller rebuilds.
 
     With a :class:`~repro.kernels.workspace.KernelWorkspace` (``ws``)
     the three batch-lifetime arrays — the slots, the argsort order and
@@ -857,10 +908,12 @@ class BatchSlotCache:
     def apply(self, admitted: int, evicted: int | None) -> None:
         """Patch the cache after one admission (and optional eviction).
 
-        Each logged event corresponds to exactly one membership change
-        in the store (an append or a :meth:`TopKStore.replace_min`), so
-        the expected version advances by one; any store mutation that
-        bypassed the log still shows up as :attr:`stale`.
+        Each admission event (from :meth:`TopKStore.offer` or an
+        admitting :meth:`TopKStore.push`) is exactly one membership
+        change in the store, so the expected version advances by one;
+        any store mutation that raised no event still shows up as
+        :attr:`stale`.  The admitted key's slot is read live, so events
+        of one offer may be applied after it returns, in order.
         """
         if evicted is not None:
             self._patch(evicted, -1)

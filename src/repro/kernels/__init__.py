@@ -3,8 +3,9 @@
 Every hot loop of the sketch classifiers — vectorized hashing
 (tabulation / polynomial bucket+sign), sketch-table scatter / gather,
 the exactly-rounded margin, transposed-row median recovery, the WM
-maintain / admission-screen, the AWM tail-promotion screen, and the
-top-K store's ``push_many`` pre-screen — dispatches through a
+maintain bound, and the top-K store's admission screen
+(``TopKStore.offer``, shared by WM maintenance, AWM tail promotion and
+``push_many``) — dispatches through a
 :class:`~repro.kernels.api.KernelBackend` selected here.
 
 Backends

@@ -66,9 +66,9 @@ of key/feature positions in the call):
     beat the admission threshold.  ``flat_buckets`` must be non-empty.
 
 ``screen_abs_gt(values, threshold) -> integer[m]``
-    Ascending positions where ``|values| > threshold`` — the admission
-    screen of the WM maintain loop, the AWM tail-promotion screen and
-    the top-K store's ``push_many`` pre-screen (abs priority).
+    Ascending positions where ``|values| > threshold`` — the top-K
+    store's admission screen (``TopKStore.offer``, abs priority), which
+    WM maintenance, AWM tail promotion and ``push_many`` share.
 
 Fused mega-kernels (PR 5)
 -------------------------

@@ -168,7 +168,6 @@ class AdaGradAWMSketch(AWMSketch):
     """
 
     def __init__(self, width: int, heap_capacity: int = 128, **kwargs):
-        kwargs.setdefault("scalar_fast_path", False)
         super().__init__(
             width=width, depth=1, heap_capacity=heap_capacity, **kwargs
         )
@@ -177,9 +176,10 @@ class AdaGradAWMSketch(AWMSketch):
     def _eta_for(self, bucket: int) -> float:
         return self.schedule(0) / math.sqrt(1.0 + self.accumulator[bucket])
 
-    def update(self, x: SparseExample) -> None:  # noqa: C901
+    def update(self, x: SparseExample) -> None:
         y = x.label
-        in_heap, in_sketch = self._split(x)
+        in_heap = self.heap.contains_many(x.indices)
+        in_sketch = ~in_heap
         heap_idx = x.indices[in_heap]
         heap_val = x.values[in_heap]
         tail_idx = x.indices[in_sketch]
@@ -217,24 +217,13 @@ class AdaGradAWMSketch(AWMSketch):
             ):
                 bucket = int(tail_buckets[0, pos])
                 eta = self._eta_for(bucket)
-                candidate = q - eta * y * g * val
-                if not self.heap.is_full:
-                    self.heap.push(idx, candidate)
-                    self.n_promotions += 1
-                    continue
-                min_key, min_weight = self.heap.min_entry()
-                if abs(candidate) > abs(min_weight):
-                    self.heap.pop_min()
-                    self.heap.push(idx, candidate)
-                    self.n_promotions += 1
-                    evict_q = float(
-                        self._sketch_estimate(
-                            np.array([min_key], dtype=np.int64)
-                        )[0]
-                    )
-                    self._sketch_add(min_key, min_weight - evict_q)
+                evicted = self.heap.push(idx, q - eta * y * g * val)
+                if evicted is not None and evicted[0] == idx:
+                    self._sketch_add(self._rows_one(idx), -eta * y * g * val)
                 else:
-                    self._sketch_add(idx, -eta * y * g * val)
+                    self.n_promotions += 1
+                    if evicted is not None:
+                        self._fold_evictee(*evicted)
         self.t += 1
 
     def fit_batch(self, batch: SparseBatch) -> np.ndarray:

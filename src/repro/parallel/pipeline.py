@@ -92,11 +92,11 @@ def fit_stream_pipelined(
 
     with_rows = _accepts_rows(classifier) and hasattr(classifier, "family")
     hasher = BatchHasher(classifier.family) if with_rows else None
-    # A classifier with a scalar fast path (the AWM-Sketch) hashes
+    # A classifier with a scalar 1-sparse path (the AWM-Sketch) hashes
     # 1-sparse examples itself and ignores prefetched rows, so hashing
     # an all-1-sparse batch up front would be pure waste competing for
     # the GIL — mirror fit_batch's own lazy-hashing rule.
-    scalar_fast = bool(getattr(classifier, "scalar_fast_path", False))
+    scalar_fast = getattr(type(classifier), "scalar_one_sparse", False)
     buffer: queue.Queue = queue.Queue(maxsize=queue_depth)
     cancelled = threading.Event()
 

@@ -1,9 +1,11 @@
-"""Equivalence of the AWM-Sketch's scalar fast path and batch path.
+"""Equivalence of the AWM-Sketch's scalar 1-sparse path and vector path.
 
 The Section 8 applications stream 1-sparse examples, which the
-AWM-Sketch handles with an all-scalar update.  These tests drive two
-sketches through identical streams — one with the fast path, one forced
-through the batch path — and require bit-identical state.
+AWM-Sketch handles with an all-scalar update (chosen from ``nnz == 1``
+alone).  These tests drive two sketches through identical streams — one
+through :meth:`AWMSketch.update`, one forced through the vector step
+``_update_example`` — and require bit-identical state at every depth
+(even depths included: the scalar median uses the kernel's arithmetic).
 """
 
 from __future__ import annotations
@@ -14,6 +16,18 @@ import pytest
 from repro.core.awm_sketch import AWMSketch
 from repro.data.sparse import SparseExample
 from repro.learning.schedules import ConstantSchedule
+
+
+def _vector_update(clf, ex):
+    """One Algorithm 2 step through the vector path, whatever the nnz."""
+    clf._update_example(ex.indices, ex.values, ex.label)
+
+
+def _assert_identical(fast, slow):
+    assert np.array_equal(fast.table, slow.table)
+    assert fast._scale == slow._scale
+    assert sorted(fast.heap.items()) == sorted(slow.heap.items())
+    assert fast.n_promotions == slow.n_promotions
 
 
 def _one_sparse_stream(n, universe, seed):
@@ -30,7 +44,7 @@ def _one_sparse_stream(n, universe, seed):
     return out
 
 
-@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("lambda_", [0.0, 1e-4])
 def test_scalar_path_matches_batch_path(depth, lambda_):
     kwargs = dict(
@@ -41,45 +55,43 @@ def test_scalar_path_matches_batch_path(depth, lambda_):
         learning_rate=ConstantSchedule(0.2),
         seed=7,
     )
-    fast = AWMSketch(scalar_fast_path=True, **kwargs)
-    slow = AWMSketch(scalar_fast_path=False, **kwargs)
+    fast = AWMSketch(**kwargs)
+    slow = AWMSketch(**kwargs)
     stream = _one_sparse_stream(800, universe=2_000, seed=3)
     for ex in stream:
         fast.update(ex)
-        slow.update(ex)
+        _vector_update(slow, ex)
     # Identical sketch state, heap contents and diagnostics.
-    assert np.allclose(fast.sketch_state(), slow.sketch_state(),
-                       rtol=1e-12, atol=1e-12)
-    assert sorted(fast.heap.items()) == pytest.approx(
-        sorted(slow.heap.items())
-    )
-    assert fast.n_promotions == slow.n_promotions
+    _assert_identical(fast, slow)
     # And identical estimates for arbitrary features.
     probe = np.arange(0, 2_000, 37, dtype=np.int64)
-    assert np.allclose(
+    assert np.array_equal(
         fast.estimate_weights(probe), slow.estimate_weights(probe)
     )
 
 
 def test_scalar_estimate_matches_vector_estimate():
-    clf = AWMSketch(width=128, depth=5, heap_capacity=4, lambda_=0.0, seed=1)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        clf.update(
-            SparseExample(
-                np.array([int(rng.integers(0, 500))], dtype=np.int64),
-                np.ones(1),
-                1 if rng.random() < 0.5 else -1,
+    """The scalar median helper is bit-identical to the median kernel
+    at odd and even depths (raw sketch estimates, heap ignored)."""
+    for depth in (1, 2, 3, 4, 5):
+        clf = AWMSketch(
+            width=128, depth=depth, heap_capacity=4, lambda_=1e-3, seed=1
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            clf.update(
+                SparseExample(
+                    np.array([int(rng.integers(0, 500))], dtype=np.int64),
+                    np.ones(1),
+                    1 if rng.random() < 0.5 else -1,
+                )
             )
-        )
-    for key in range(0, 500, 11):
-        scalar = clf._estimate_one(key)
-        vector = float(
-            clf._sketch_estimate(np.array([key], dtype=np.int64))[0]
-        )
-        if key in clf.heap:
-            continue  # estimate_weights would use the heap; compare raw
-        assert scalar == pytest.approx(vector, abs=1e-12)
+        for key in range(0, 500, 11):
+            scalar = clf._estimate_one(clf._rows_one(key))
+            vector = float(
+                clf._sketch_estimate(np.array([key], dtype=np.int64))[0]
+            )
+            assert scalar == vector
 
 
 def test_mixed_sparsity_stream_consistency():
@@ -87,8 +99,8 @@ def test_mixed_sparsity_stream_consistency():
     paths inside one sketch; results must match a batch-only sketch."""
     kwargs = dict(width=512, depth=2, heap_capacity=8, lambda_=1e-5,
                   learning_rate=ConstantSchedule(0.1), seed=5)
-    fast = AWMSketch(scalar_fast_path=True, **kwargs)
-    slow = AWMSketch(scalar_fast_path=False, **kwargs)
+    fast = AWMSketch(**kwargs)
+    slow = AWMSketch(**kwargs)
     rng = np.random.default_rng(9)
     for _ in range(400):
         nnz = int(rng.integers(1, 5))
@@ -97,6 +109,5 @@ def test_mixed_sparsity_stream_consistency():
         y = 1 if rng.random() < 0.5 else -1
         ex = SparseExample(idx, vals, y)
         fast.update(ex)
-        slow.update(ex)
-    assert np.allclose(fast.sketch_state(), slow.sketch_state())
-    assert fast.n_promotions == slow.n_promotions
+        _vector_update(slow, ex)
+    _assert_identical(fast, slow)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.awm_sketch import AWMSketch
 from repro.core.wm_sketch import WMSketch
+from repro.data.batch import SparseBatch
 from repro.data.sparse import SparseExample
 from repro.learning.base import OnlineErrorTracker, run_stream
 from repro.learning.feature_hashing import FeatureHashing
@@ -57,6 +58,8 @@ def _drive_pair(make, examples, batch_size):
 
 def _assert_heaps_equal(a, b):
     assert sorted(a.items()) == sorted(b.items())
+    a.check_invariants()
+    b.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -122,11 +125,14 @@ def test_wm_sketch_equivalence_property(batch_size, depth, n, seed):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("hash_kind", ["tabulation", "polynomial"])
 @pytest.mark.parametrize("depth", [1, 3])
-@pytest.mark.parametrize("scalar_fast_path", [True, False])
-def test_awm_sketch_equivalence(depth, hash_kind, scalar_fast_path):
-    # Mix in 1-sparse examples so the scalar fast path is exercised
-    # inside batches exactly as it is in per-example updates.
-    examples = _stream(600, seed=depth * 7, one_sparse_fraction=0.4)
+@pytest.mark.parametrize("one_sparse", [True, False])
+def test_awm_sketch_equivalence(depth, hash_kind, one_sparse):
+    # With one_sparse, 1-sparse examples are mixed in so the scalar path
+    # is exercised inside batches exactly as in per-example updates;
+    # without, every example takes the vector path.
+    examples = _stream(
+        600, seed=depth * 7, one_sparse_fraction=0.4 if one_sparse else 0.0
+    )
 
     def make():
         return AWMSketch(
@@ -136,7 +142,6 @@ def test_awm_sketch_equivalence(depth, hash_kind, scalar_fast_path):
             lambda_=1e-4,
             seed=5,
             hash_kind=hash_kind,
-            scalar_fast_path=scalar_fast_path,
         )
 
     seq, seq_tr, bat, bat_tr = _drive_pair(make, examples, 64)
@@ -165,6 +170,54 @@ def test_awm_sketch_equivalence_property(batch_size, depth, seed):
     assert seq.n_promotions == bat.n_promotions
     _assert_heaps_equal(seq.heap, bat.heap)
     assert seq_tr.mistakes == bat_tr.mistakes
+
+
+def _repeated_index_stream(n, seed):
+    """Examples whose index arrays repeat features (drawn with
+    replacement from a small universe), led by keys 1 and 2 and then
+    ``x = 5 e_7 + 5 e_7``."""
+    out = [
+        SparseExample(np.array([1]), np.array([1.0]), 1),
+        SparseExample(np.array([2]), np.array([1.0]), 1),
+        SparseExample(np.array([7, 7]), np.array([5.0, 5.0]), 1),
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        nnz = int(rng.integers(1, 7))
+        idx = rng.choice(40, size=nnz).astype(np.int64)
+        vals = rng.choice([0.5, 1.0, 5.0], size=nnz)
+        out.append(SparseExample(idx, vals, 1 if rng.random() < 0.5 else -1))
+    return out
+
+
+@pytest.mark.parametrize("model", ["wm", "awm"])
+def test_repeated_indices_keep_the_store_consistent(model):
+    """A feature repeated inside one example is admitted at most once:
+    the store never holds a key twice, its invariants hold after every
+    update, and update == fit_batch bit-for-bit."""
+
+    def make():
+        if model == "wm":
+            return WMSketch(64, 3, lambda_=0.0, learning_rate=1.0,
+                            seed=2, heap_capacity=2)
+        return AWMSketch(64, 1, heap_capacity=2, lambda_=0.0,
+                         learning_rate=1.0, seed=2)
+
+    examples = _repeated_index_stream(300, seed=11)
+    seq = make()
+    for ex in examples:
+        seq.update(ex)
+        seq.heap.check_invariants()
+        keys = [k for k, _ in seq.heap.items()]
+        assert len(keys) == len(set(keys))
+    bat = make()
+    for lo in range(0, len(examples), 16):
+        bat.fit_batch(SparseBatch.from_examples(examples[lo : lo + 16]))
+    assert np.array_equal(seq.table, bat.table)
+    assert seq._scale == bat._scale
+    _assert_heaps_equal(seq.heap, bat.heap)
+    if model == "awm":
+        assert seq.n_promotions == bat.n_promotions
 
 
 # ----------------------------------------------------------------------

@@ -360,6 +360,8 @@ class TestHeapScreen:
 
         store = TopKStore(16, backend=alt)
         reference = ReferenceTopKHeap(16)
+        offered = TopKStore(16, backend=alt)
+        offer_reference = ReferenceTopKHeap(16)
         for round_ in range(30):
             n = int(rng.integers(1, 25))
             keys = rng.choice(10_000, size=n, replace=False).astype(np.int64)
@@ -369,6 +371,19 @@ class TestHeapScreen:
                 reference.push(k, v)
             assert sorted(store.items()) == sorted(reference.items())
             store.check_invariants()
+            # offer runs the same screen kernel.  Keys fresh per round
+            # are distinct non-members, so its events are exactly the
+            # admissions of the reference's sequential push loop.
+            keys += 10_000 * round_
+            events = offered.offer(keys, values)
+            admitted = []
+            for p, (k, v) in enumerate(zip(keys.tolist(), values.tolist())):
+                out = offer_reference.push(k, v)
+                if out is None or out[0] != k:
+                    admitted.append((p, k, out))
+            assert events == admitted
+            assert sorted(offered.items()) == sorted(offer_reference.items())
+            offered.check_invariants()
 
     def test_store_pickle_keeps_backend(self, alt):
         store = TopKStore(8, backend=alt)

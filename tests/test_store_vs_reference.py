@@ -5,7 +5,7 @@ original pure-Python :class:`~repro.heap.reference.ReferenceTopKHeap`
 on every hot path; the original is retained verbatim as the executable
 specification.  These property tests drive both structures through
 identical random operation sequences — push / add_delta / decay /
-pop_min / remove / clear plus the vectorized entry points (push_many,
+pop_min / remove / clear plus the vectorized entry points (offer, push_many,
 add_many, set_many, contains_many, get_many) against scalar reference
 loops — and assert identical visible state after every operation,
 including across decay-underflow renormalization.
@@ -151,6 +151,72 @@ def test_push_many_matches_sequential_reference(pairs, capacity):
             ref_admitted += 1
     assert admitted == ref_admitted
     _assert_same_state(store, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), values_strategy),
+        max_size=20,
+    ),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), values_strategy),
+        min_size=1,
+        max_size=25,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.integers(min_value=1, max_value=10),
+    st.booleans(),
+)
+def test_offer_matches_reference_loop(prefill, offered, capacity, tie):
+    """offer over distinct keys is the reference heap's push loop:
+    sequential pushes when the store is not full on entry; when it is
+    full, members refreshed first and then the other candidates pushed
+    in order.  Events name exactly the loop's admissions (position,
+    key, evictee), and a candidate tying the threshold is rejected."""
+    store = TopKStore(capacity)
+    ref = ReferenceTopKHeap(capacity)
+    for k, v in prefill:
+        v = _salt(k, v)
+        store.push(k, v)
+        ref.push(k, v)
+    store.decay(0.75)
+    ref.decay(0.75)
+    keys = np.array([k for k, _ in offered], dtype=np.int64)
+    values = np.array([_salt(k, v) for k, v in offered])
+    slots = store.member_slots(keys)
+    order = list(range(keys.size))
+    if ref.is_full:
+        for p in [p for p in order if int(keys[p]) in ref]:
+            assert ref.push(int(keys[p]), float(values[p])) is None
+            order.remove(p)
+        if tie and order:
+            # Exactly the threshold left by the member refresh: rejected.
+            values[order[0]] = -ref.min_entry()[1]
+    expected = []
+    for p in order:
+        key = int(keys[p])
+        was_member = key in ref
+        out = ref.push(key, float(values[p]))
+        if not was_member and (out is None or out[0] != key):
+            expected.append((p, key, out))
+    assert store.offer(keys, values, slots) == expected
+    _assert_same_state(store, ref)
+
+
+def test_offer_repeated_key_updates_in_place():
+    """A key repeated within one offer is admitted once; the repeat
+    overwrites its value instead of taking a second slot."""
+    for prefill in ([], [(1, 1.0), (2, 2.0)]):
+        store = TopKStore(2)
+        for k, v in prefill:
+            store.push(k, v)
+        keys = np.array([7, 7], dtype=np.int64)
+        events = store.offer(keys, np.array([5.0, 6.0]))
+        assert [(p, k) for p, k, _ in events] == [(0, 7)]
+        assert store.get(7) == 6.0
+        assert sorted(k for k, _ in store.items()).count(7) == 1
+        store.check_invariants()
 
 
 @settings(max_examples=100, deadline=None)
